@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from latticebox.certificates import (
 from latticebox.chains import DivisorVector, IndexMap, certify
 from latticebox.errors import CapExceededError, DimensionError, ResourceLimitError
 from latticebox.lattice import Lattice
+from latticebox.serialize import certset_to_json, dumps
 
 
 def rand_box(rng, n, bound=8):
@@ -120,6 +122,46 @@ def test_reduced_bounds_examples():
     assert uppers == [
         Diff(FloorDiv(Upper(0), 1), CeilDiv(Upper(2), -1)),
         Upper(1),
+    ]
+
+    # negative i, positive j
+    dv = DivisorVector.of((-2, 4))
+    imap = IndexMap.of(dv.partition)
+    lowers, uppers = reduced_bounds_exprs(dv, imap)
+    assert lowers == [Diff(CeilDiv(Upper(0), -2), FloorDiv(Upper(1), 4))]
+    assert uppers == [Diff(FloorDiv(Lower(0), -2), CeilDiv(Lower(1), 4))]
+
+    # both negative
+    dv = DivisorVector.of((-2, -4))
+    imap = IndexMap.of(dv.partition)
+    lowers, uppers = reduced_bounds_exprs(dv, imap)
+    assert lowers == [Diff(CeilDiv(Upper(0), -2), FloorDiv(Lower(1), -4))]
+    assert uppers == [Diff(FloorDiv(Lower(0), -2), CeilDiv(Upper(1), -4))]
+
+
+def test_mixed_sign_chain_pinned():
+    # the chain divisors (3, -3, 0, 3) and (1, 0, -1, -1) between them
+    # cover all four sign pairs of the reduced-bound rule
+    lat = Lattice(4, [[3, 0, -1, 3], [0, 3, -1, 0]])
+    chain = certify(lat)
+    assert chain.divisor.v == (3, -3, 0, 3)
+    assert chain.child.divisor.v == (1, 0, -1, -1)
+    certs = generate_certificates(chain)
+    text = dumps(certset_to_json(certs)).encode()
+    assert len(certs.exprs) == 14
+    assert len(text) == 8071
+    assert (
+        hashlib.sha256(text).hexdigest()
+        == "f3434bb307982e7e5e97efd9878f1b63433976b404801e20746b17d2f660e9ba"
+    )
+
+    rng = random.Random(2024)
+    witnesses = [solve_box(chain, rand_box(rng, 4)) for _ in range(24)]
+    assert witnesses == [
+        (0, 0, 0, 0), None, (3, -3, 0, 3), None, None, (-3, -6, 3, -3),
+        (0, 0, 0, 0), None, None, None, None, None,
+        None, None, (-3, -3, 2, -3), None, None, None,
+        (0, 6, -2, 0), (0, -3, 1, 0), None, (-3, -6, 3, -3), None, None,
     ]
 
 
