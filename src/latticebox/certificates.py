@@ -7,6 +7,15 @@ simultaneous nonnegativity decides whether the lattice meets the box. The
 set depends only on the lattice, so it is generated once and reused across
 boxes. solve_box extracts an explicit witness by the same recursion.
 
+Everything rests on one sign rule. A divisor v pins the multiplier t of
+t·v inside the box [a, b] to [L_i, U_i] on each nonzero coordinate i:
+L_i = ceil(a_i/v_i) and U_i = floor(b_i/v_i) when v_i > 0, with a_i and
+b_i swapped when v_i < 0. The rank-1 family is U_j - L_i over ordered
+coordinate pairs, a reduced pair coordinate (i, j) ranges over
+[L_i - U_j, U_i - L_j], and each coordinate needs U_i - L_i >= 0. The rule
+is written once (_multiplier_bounds) and run on expression trees to build
+certificates and on integers for every check in solve_box.
+
 Expression trees here are a superset of the minimal grammar (explicit Neg
 and Diff nodes, inputs at both polarities). Only the division-nesting
 depth bound matters: every generated expression has depth <= the rank.
@@ -17,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import sub
 
 from .arith import ceil_div, floor_div
 from .chains import ChainCertificate, DivisorVector, IndexMap, map_point
@@ -115,10 +125,8 @@ def substitute(expr: Expr, lowers: list[Expr], uppers: list[Expr]) -> Expr:
         return uppers[expr.i]
     if isinstance(expr, Neg):
         return Neg(substitute(expr.arg, lowers, uppers))
-    if isinstance(expr, FloorDiv):
-        return FloorDiv(substitute(expr.arg, lowers, uppers), expr.m)
-    if isinstance(expr, CeilDiv):
-        return CeilDiv(substitute(expr.arg, lowers, uppers), expr.m)
+    if isinstance(expr, (FloorDiv, CeilDiv)):
+        return type(expr)(substitute(expr.arg, lowers, uppers), expr.m)
     if isinstance(expr, Diff):
         return Diff(
             substitute(expr.lhs, lowers, uppers),
@@ -162,31 +170,53 @@ class CertificateSet:
     exprs: tuple[Expr, ...]
 
 
+def _multiplier_bounds(div: DivisorVector, lower, upper, floor, ceil) -> dict:
+    """The sign rule: {i: (L_i, U_i)} over nonzero coordinates, positives first."""
+    v = div.v
+    bounds = {}
+    for i in div.partition.pos:
+        bounds[i] = (ceil(lower[i], v[i]), floor(upper[i], v[i]))
+    for i in div.partition.neg:
+        bounds[i] = (ceil(upper[i], v[i]), floor(lower[i], v[i]))
+    return bounds
+
+
+def _reduced_bounds(bounds: dict, imap: IndexMap, lower, upper, diff):
+    """[L_i - U_j, U_i - L_j] per pair (i, j), then the zero coordinates."""
+    lowers = [diff(bounds[i][0], bounds[j][1]) for i, j in imap.pairs]
+    uppers = [diff(bounds[i][1], bounds[j][0]) for i, j in imap.pairs]
+    lowers += [lower[k] for k in imap.zeros]
+    uppers += [upper[k] for k in imap.zeros]
+    return lowers, uppers
+
+
+def _leaves(div: DivisorVector) -> tuple[list[Expr], list[Expr]]:
+    n = len(div.v)
+    return [Lower(i) for i in range(n)], [Upper(i) for i in range(n)]
+
+
+def _symbolic_bounds(div: DivisorVector) -> dict:
+    return _multiplier_bounds(div, *_leaves(div), FloorDiv, CeilDiv)
+
+
 def rank1_certificates(div: DivisorVector) -> list[Expr]:
     """Certificate family for the rank-1 lattice generated by div.
 
-    Members are t·v, so each nonzero coordinate pins t to an interval and
-    feasibility is the pairwise compatibility of rounded interval ends.
-    Zero coordinates of v are zero in every member, which needs
-    a_i <= 0 <= b_i: emitted as the two expressions b_i and -a_i. (The
-    single difference b_i - a_i would accept boxes with 0 < a_i <= b_i
-    that contain no lattice point.)
+    Members are t·v, so feasibility is U_j - L_i >= 0 for every ordered
+    pair of nonzero coordinates. Zero coordinates of v are zero in every
+    member, which needs a_k <= 0 <= b_k: emitted as the two expressions
+    b_k and -a_k. (The single difference b_k - a_k would accept boxes with
+    0 < a_k <= b_k that contain no lattice point.)
     """
     part = div.partition
-    v = div.v
-    out: list[Expr] = []
-    for i in part.pos:
-        for j in part.pos:
-            out.append(Diff(FloorDiv(Upper(j), v[j]), CeilDiv(Lower(i), v[i])))
-    for i in part.neg:
-        for j in part.neg:
-            out.append(Diff(FloorDiv(Lower(j), v[j]), CeilDiv(Upper(i), v[i])))
-    for i in part.pos:
-        for j in part.neg:
-            out.append(Diff(FloorDiv(Lower(j), v[j]), CeilDiv(Lower(i), v[i])))
-    for i in part.pos:
-        for j in part.neg:
-            out.append(Diff(FloorDiv(Upper(i), v[i]), CeilDiv(Upper(j), v[j])))
+    bounds = _symbolic_bounds(div)
+    pairs = [
+        *product(part.pos, part.pos),
+        *product(part.neg, part.neg),
+        *product(part.pos, part.neg),
+        *((j, i) for i, j in product(part.pos, part.neg)),
+    ]
+    out: list[Expr] = [Diff(bounds[j][1], bounds[i][0]) for i, j in pairs]
     for k in part.zero:
         out.append(Upper(k))
         out.append(Neg(Lower(k)))
@@ -198,47 +228,11 @@ def reduced_bounds_exprs(
 ) -> tuple[list[Expr], list[Expr]]:
     """Bound expressions for each reduced coordinate, as (lowers, uppers).
 
-    For a pair coordinate (i, j) the interval bounds the quotient
-    difference y_i/v_i - y_j/v_j of any member that can be completed to a
-    box point; the rounding pattern depends on the two coordinate signs.
-    Zero coordinates pass their bounds through unchanged.
+    For a pair coordinate (i, j) the interval [L_i - U_j, U_i - L_j] bounds
+    the quotient difference y_i/v_i - y_j/v_j of any member that can be
+    completed to a box point. Zero coordinates pass their bounds through.
     """
-    v = div.v
-    lowers: list[Expr] = []
-    uppers: list[Expr] = []
-    for i, j in imap.pairs:
-        pi, pj = v[i] > 0, v[j] > 0
-        if pi and pj:
-            lo = Diff(CeilDiv(Lower(i), v[i]), FloorDiv(Upper(j), v[j]))
-            hi = Diff(FloorDiv(Upper(i), v[i]), CeilDiv(Lower(j), v[j]))
-        elif not pi and not pj:
-            lo = Diff(CeilDiv(Upper(i), v[i]), FloorDiv(Lower(j), v[j]))
-            hi = Diff(FloorDiv(Lower(i), v[i]), CeilDiv(Upper(j), v[j]))
-        elif pi:
-            lo = Diff(CeilDiv(Lower(i), v[i]), FloorDiv(Lower(j), v[j]))
-            hi = Diff(FloorDiv(Upper(i), v[i]), CeilDiv(Upper(j), v[j]))
-        else:
-            # negative i, positive j: mirror of the mixed case above, since
-            # the pair value is the negation of the (j, i) pair value.
-            lo = Diff(CeilDiv(Upper(i), v[i]), FloorDiv(Upper(j), v[j]))
-            hi = Diff(FloorDiv(Lower(i), v[i]), CeilDiv(Lower(j), v[j]))
-        lowers.append(lo)
-        uppers.append(hi)
-    for k in imap.zeros:
-        lowers.append(Lower(k))
-        uppers.append(Upper(k))
-    return lowers, uppers
-
-
-def _interval_certs(div: DivisorVector) -> list[Expr]:
-    """Per-coordinate conditions: each nonzero coordinate admits some t."""
-    v = div.v
-    out: list[Expr] = []
-    for i in div.partition.pos:
-        out.append(Diff(FloorDiv(Upper(i), v[i]), CeilDiv(Lower(i), v[i])))
-    for j in div.partition.neg:
-        out.append(Diff(FloorDiv(Lower(j), v[j]), CeilDiv(Upper(j), v[j])))
-    return out
+    return _reduced_bounds(_symbolic_bounds(div), imap, *_leaves(div), Diff)
 
 
 def generate_certificates(cert: ChainCertificate) -> CertificateSet:
@@ -257,7 +251,7 @@ def generate_certificates(cert: ChainCertificate) -> CertificateSet:
     child_set = generate_certificates(cert.child)
     lowers, uppers = reduced_bounds_exprs(cert.divisor, cert.index_map)
     exprs = [substitute(e, lowers, uppers) for e in child_set.exprs]
-    exprs.extend(_interval_certs(cert.divisor))
+    exprs.extend(Diff(hi, lo) for lo, hi in _symbolic_bounds(cert.divisor).values())
     return CertificateSet(lat.ambient_dim, child_set.rank + 1, tuple(exprs))
 
 
@@ -271,28 +265,16 @@ def feasible_by_certificates(certs: CertificateSet, box: Box) -> bool:
 
 
 def _t_interval(div: DivisorVector, lower, upper):
-    """Integer range of t with lower <= t·v <= upper on nonzero coords."""
-    v = div.v
-    lo = None
-    hi = None
-    for i in div.partition.pos:
-        li = ceil_div(lower[i], v[i])
-        ui = floor_div(upper[i], v[i])
-        lo = li if lo is None else max(lo, li)
-        hi = ui if hi is None else min(hi, ui)
-    for i in div.partition.neg:
-        li = ceil_div(upper[i], v[i])
-        ui = floor_div(lower[i], v[i])
-        lo = li if lo is None else max(lo, li)
-        hi = ui if hi is None else min(hi, ui)
-    return lo, hi
+    """Integer range (max L_i, min U_i) of t with lower <= t·v <= upper."""
+    bounds = _multiplier_bounds(div, lower, upper, floor_div, ceil_div).values()
+    return max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
 
 
 def solve_box(cert: ChainCertificate, box: Box):
     """Explicit lattice point in the box, or None when there is none.
 
     Follows the constructive recursion: check the per-coordinate interval
-    conditions, evaluate the reduced bounds numerically, solve the child,
+    conditions, compute the reduced bounds on integers, solve the child,
     lift the child witness through a direct-sum complement of the divisor,
     then pick the smallest feasible multiplier t. Returns None exactly on
     the inputs where the certificate set evaluates negative somewhere; a
@@ -315,16 +297,10 @@ def solve_box(cert: ChainCertificate, box: Box):
             return None
         return tuple(lo * x for x in v)
 
-    for i in div.partition.pos:
-        if floor_div(b[i], v[i]) < ceil_div(a[i], v[i]):
-            return None
-    for j in div.partition.neg:
-        if floor_div(a[j], v[j]) < ceil_div(b[j], v[j]):
-            return None
-
-    lower_exprs, upper_exprs = reduced_bounds_exprs(div, cert.index_map)
-    red_lo = [evaluate(e, a, b) for e in lower_exprs]
-    red_hi = [evaluate(e, a, b) for e in upper_exprs]
+    bounds = _multiplier_bounds(div, a, b, floor_div, ceil_div)
+    if any(lo > hi for lo, hi in bounds.values()):
+        return None
+    red_lo, red_hi = _reduced_bounds(bounds, cert.index_map, a, b, sub)
     if any(lo > hi for lo, hi in zip(red_lo, red_hi)):
         return None
     z = solve_box(cert.child, Box.of(red_lo, red_hi))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .arith import PrimeSet, factorize, parse_rational
+from .arith import PrimeSet, factorize, parse_rational, rref
 from .errors import DimensionError, ResourceLimitError
 
 MAX_FAMILY_SIZE = 20
@@ -44,49 +44,12 @@ def _as_fraction_rows(vectors) -> list[list[Fraction]]:
     return rows
 
 
-def _rank(columns: list[list[Fraction]]) -> int:
-    """Rank of the matrix whose columns are given (each a length-n list)."""
-    if not columns:
-        return 0
-    n = len(columns[0])
-    mat = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-    rank = 0
-    for col in range(len(columns)):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def _kernel_if_one_dimensional(columns: list[list[Fraction]]):
     """The kernel vector when the column kernel has dimension exactly 1."""
     k = len(columns)
     n = len(columns[0]) if columns else 0
-    mat = [[columns[j][i] for j in range(k)] for i in range(n)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if k - rank != 1:
+    mat, pivots = rref([[col[i] for col in columns] for i in range(n)], k)
+    if k - len(pivots) != 1:
         return None
     free = next(c for c in range(k) if c not in pivots)
     vec = [Fraction(0)] * k
@@ -115,7 +78,7 @@ def circuits(vectors) -> list[Circuit]:
         [int(x * s) for x in row] for row, s in zip(rows, scales)
     ]
     cols = [[Fraction(x) for x in row] for row in cleared]
-    rank = _rank(cols)
+    rank = len(rref(cols, len(cols[0]))[1]) if cols else 0
     if rank > MAX_FAMILY_RANK:
         raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
     out = []

@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to the JSON instance")
         p.add_argument("--output", help="also write the JSON result to this path")
-        # every algorithm is deterministic; the flag only means something
-        # to gen-corpus but is accepted everywhere
-        p.add_argument("--seed", type=int, default=0, help="ignored")
         return p
 
     add("certify", "decide whether the lattice admits a divisor chain")

@@ -24,14 +24,6 @@ def _identity(k: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
@@ -92,10 +84,6 @@ class Lattice:
         self.pivots: tuple[int, ...] = tuple(
             next(j for j, x in enumerate(row) if x != 0) for row in self.basis
         )
-
-    @classmethod
-    def from_generators(cls, ambient_dim: int, generators) -> "Lattice":
-        return cls(ambient_dim, generators)
 
     @property
     def rank(self) -> int:

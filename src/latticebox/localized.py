@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .arith import PrimeSet, in_qp, p_part, parse_rational
+from .arith import PrimeSet, in_qp, p_part, parse_rational, rref
 from .certificates import Box, brute_force_solve
-from .circuits import Circuit, circuits, prime_set_of_circuits, _rank
+from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
     InconsistencyError,
@@ -130,31 +130,13 @@ def rational_box_solve(vectors, target, lower, upper):
     if m == 0:
         return [] if not any(w) else None
 
-    # Gaussian elimination: coordinates are equations, family members are
-    # the unknowns. Afterward every pivot variable is an affine function of
-    # the free variables.
-    mat = [[vecs[i][j] for i in range(m)] for j in range(n)]
-    rhs = list(w)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        rhs[rank], rhs[pivot] = rhs[pivot], rhs[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        rhs[rank] *= inv
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-                rhs[r] -= f * rhs[rank]
-        pivots[col] = rank
-        rank += 1
-    if any(rhs[r] != 0 for r in range(rank, n)):
+    # Gauss-Jordan elimination: coordinates are equations, family members
+    # are the unknowns and the target rides along as column m. Afterward
+    # every pivot variable is an affine function of the free variables.
+    mat, pivot_cols = rref([[v[j] for v in vecs] + [w[j]] for j in range(n)], m)
+    if any(row[m] != 0 for row in mat[len(pivot_cols):]):
         return None
+    pivots = {c: r for r, c in enumerate(pivot_cols)}
     free = [c for c in range(m) if c not in pivots]
     fpos = {c: k for k, c in enumerate(free)}
 
@@ -165,7 +147,7 @@ def rational_box_solve(vectors, target, lower, upper):
             coeffs[fpos[i]] = Fraction(1)
             return coeffs, Fraction(0)
         r = pivots[i]
-        return [-mat[r][f] for f in free], rhs[r]
+        return [-mat[r][f] for f in free], mat[r][m]
 
     # Inequality rows (coeffs, const) meaning sum(coeffs·y) <= const.
     rows = []
@@ -359,8 +341,8 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
                 steps.append(RefineStep(case="base", pivot=i))
             break
 
-        cols = [[Fraction(x) for x in inst.vectors[i]] for i in active]
-        if _rank(cols) == len(active):
+        rows = [inst.vectors[i] for i in active]
+        if len(rref(rows, len(inst.target))[1]) == len(active):
             # Independent subfamily: the coefficients are forced, and ring
             # span membership forces them into the ring.
             for i in active:

@@ -13,6 +13,7 @@ from latticebox.arith import (
     is_prime,
     p_part,
     parse_rational,
+    rref,
 )
 from latticebox.errors import ResourceLimitError
 
@@ -122,3 +123,15 @@ def test_rational_round_trip():
     assert format_rational(Fraction(-8, 2)) == "-4"
     with pytest.raises(ValueError):
         parse_rational(None)
+
+
+def test_rref_carries_right_hand_side():
+    F = Fraction
+    rows = [[F(0), F(2), F(4), F(6)], [F(1), F(1), F(1), F(2)], [F(1), F(2), F(3), F(5)]]
+    mat, pivots = rref(rows, 3)
+    assert pivots == [0, 1]
+    assert mat == [[1, 0, -1, -1], [0, 1, 2, 3], [0, 0, 0, 0]]
+    assert rows[0] == [0, 2, 4, 6]  # input untouched
+    # the last column is never a pivot, so an inconsistent row shows there
+    mat, pivots = rref([[F(1), F(1)], [F(0), F(1)]], 1)
+    assert pivots == [0] and mat[1] == [0, 1]

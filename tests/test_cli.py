@@ -136,6 +136,15 @@ def test_exit_code_usage_error():
     assert rc == 1 and err
 
 
+def test_seed_flag_belongs_to_gen_corpus_only(tmp_path):
+    path = CORPUS / "instances" / "lattice_span_2408.json"
+    rc, out, err = run_cli(["certify", str(path), "--seed", "3"])
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --seed 3" in err
+    rc, _, _ = run_cli(["gen-corpus", str(tmp_path / "seeded"), "--seed", "3"])
+    assert rc == 0
+
+
 def test_exit_code_resource_limit(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(

@@ -6,12 +6,19 @@ from latticebox.errors import DimensionError, MembershipError, TorsionError
 from latticebox.lattice import (
     Lattice,
     integer_kernel,
-    mat_mul,
     smith_decompose,
     smith_transforms,
     solve_integer_system,
     unimodular_completion,
 )
+
+
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+        for i in range(len(a))
+    ]
 
 
 def rand_lattice(rng, n_max=4, entry=6):
