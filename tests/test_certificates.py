@@ -165,6 +165,59 @@ def test_mixed_sign_chain_pinned():
     ]
 
 
+def _near_point_box(rng, lat):
+    # a narrow box around an integer combination of the basis with
+    # coefficients up to 10^9, shifted so it may miss the lattice
+    coeffs = [rng.randint(-10**9, 10**9) for _ in lat.basis]
+    point = [
+        sum(c * row[j] for c, row in zip(coeffs, lat.basis))
+        for j in range(lat.ambient_dim)
+    ]
+    lower = [x - rng.randint(0, 3) + (rng.random() < 0.25) for x in point]
+    return Box.of(lower, [lo + rng.choice((0, 1, 2, 3)) for lo in lower])
+
+
+def test_solve_box_witness_digest():
+    # pins the exact witnesses solve_box picks: seeded in-class chains of
+    # every rank 1-4, each on small boxes and on boxes near lattice points
+    # with coordinates around 10^9
+    chains = [
+        certify(Lattice(4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])),
+        certify(Lattice(4, [[3, 0, -1, 3], [0, 3, -1, 0]])),
+    ]
+    rng = random.Random(8128)
+    per_rank = {1: 0, 2: 0, 3: 0, 4: 0}
+    while min(per_rank.values()) < 8:
+        n = rng.randint(1, 5)
+        gens = [
+            [rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(n)]
+            for _ in range(rng.randint(1, n))
+        ]
+        lat = Lattice(n, gens)
+        if per_rank.get(lat.rank, 8) >= 8:
+            continue
+        try:
+            chain = certify(lat, max_dim=12)
+        except ResourceLimitError:
+            continue
+        if chain is not None:
+            chains.append(chain)
+            per_rank[lat.rank] += 1
+
+    witnesses = []
+    for chain in chains:
+        lat = chain.lattice
+        for _ in range(12):
+            witnesses.append(solve_box(chain, rand_box(rng, lat.ambient_dim, 3)))
+            witnesses.append(solve_box(chain, _near_point_box(rng, lat)))
+    assert len(witnesses) == 816
+    assert sum(w is not None for w in witnesses) == 578
+    assert (
+        hashlib.sha256(repr(witnesses).encode()).hexdigest()
+        == "a8a1e386e7b916412a11564727de5351789df9ea134276bbcc0f20c42f43cabc"
+    )
+
+
 def test_substitute_round_trip():
     e = Diff(FloorDiv(Upper(0), 2), CeilDiv(Lower(1), -3))
     out = substitute(e, [Lower(5), Lower(6)], [Upper(5), Upper(6)])
