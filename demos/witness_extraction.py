@@ -4,8 +4,8 @@ Extracting an explicit lattice point from a feasible box
 
 The same recursion that proves the certificate equivalence also produces
 a witness: solve the reduced instance for the image lattice, lift the
-image point through a direct-sum complement of the divisor vector, and
-pick the smallest feasible multiplier.
+image point back to a lattice member, and shift it along the divisor
+vector by the smallest feasible multiplier.
 """
 
 import random

@@ -57,17 +57,14 @@ from .errors import (
     DivisibilityError,
     InconsistencyError,
     LatticeBoxError,
-    MembershipError,
     PreconditionError,
     ResourceLimitError,
     RingMembershipError,
-    TorsionError,
     ZeroLatticeError,
 )
 from .lattice import (
     Lattice,
     integer_kernel,
-    smith_decompose,
     solve_integer_system,
 )
 from .localized import (
@@ -99,7 +96,6 @@ __all__ = [
     "Lattice",
     "LatticeBoxError",
     "Lower",
-    "MembershipError",
     "Neg",
     "PreconditionError",
     "PrimeSet",
@@ -110,7 +106,6 @@ __all__ = [
     "ResourceLimitError",
     "RingMembershipError",
     "SignPartition",
-    "TorsionError",
     "Upper",
     "ZeroLatticeError",
     "brute_force_solve",
@@ -139,7 +134,6 @@ __all__ = [
     "rational_box_solve",
     "reduced_bounds_exprs",
     "refine_to_qp",
-    "smith_decompose",
     "solve_box",
     "solve_integer_system",
 ]

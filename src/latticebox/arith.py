@@ -111,9 +111,6 @@ class PrimeSet:
     def __repr__(self) -> str:
         return f"PrimeSet({list(self.primes)!r})"
 
-    def union(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(self.primes + tuple(other))
-
     def issuperset(self, other: "PrimeSet") -> bool:
         return set(other.primes) <= set(self.primes)
 

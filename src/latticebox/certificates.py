@@ -275,10 +275,13 @@ def solve_box(cert: ChainCertificate, box: Box):
 
     Follows the constructive recursion: check the per-coordinate interval
     conditions, compute the reduced bounds on integers, solve the child,
-    lift the child witness through a direct-sum complement of the divisor,
-    then pick the smallest feasible multiplier t. Returns None exactly on
-    the inputs where the certificate set evaluates negative somewhere; a
-    child success that cannot be lifted is an internal inconsistency.
+    lift the child witness z to some member y of the lattice that maps to
+    it, then pick the smallest feasible multiplier t for y + t·v. Any
+    preimage serves: the map's kernel inside the lattice is exactly Zv, so
+    all preimages of z form the one coset y + Zv, and the smallest t picks
+    the same point from each. Returns None exactly on the inputs where the
+    certificate set evaluates negative somewhere; a child success that
+    cannot be lifted is an internal inconsistency.
     """
     lat = cert.lattice
     if box.dim != lat.ambient_dim:
@@ -307,14 +310,13 @@ def solve_box(cert: ChainCertificate, box: Box):
     if z is None:
         return None
 
-    comp = lat.complement_of(v)
-    images = [map_point(div, cert.index_map, row) for row in comp.basis]
+    images = [map_point(div, cert.index_map, row) for row in lat.basis]
     cols = [[img[r] for img in images] for r in range(cert.index_map.output_dim)]
     coeffs = solve_integer_system(cols, list(z))
     if coeffs is None:
-        raise InconsistencyError("child witness is outside the complement image")
+        raise InconsistencyError("child witness is outside the image lattice")
     y = [
-        sum(coeffs[k] * comp.basis[k][j] for k in range(comp.rank))
+        sum(coeffs[k] * lat.basis[k][j] for k in range(lat.rank))
         for j in range(lat.ambient_dim)
     ]
     for k in div.partition.zero:

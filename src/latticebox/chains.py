@@ -35,10 +35,6 @@ class SignPartition:
         zero = tuple(i for i, x in enumerate(v) if x == 0)
         return cls(pos, neg, zero)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.pos) + len(self.neg)
-
 
 @dataclass(frozen=True)
 class DivisorVector:

@@ -13,14 +13,6 @@ class ZeroLatticeError(LatticeBoxError):
     """The zero lattice was passed to an operation that needs a nonzero one."""
 
 
-class MembershipError(LatticeBoxError):
-    """A vector expected to lie in a lattice does not."""
-
-
-class TorsionError(LatticeBoxError):
-    """The quotient by the given vector has torsion; no direct complement."""
-
-
 class DivisibilityError(LatticeBoxError):
     """A coordinate is not divisible by the divisor vector where required."""
 

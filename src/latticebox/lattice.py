@@ -4,18 +4,14 @@ A lattice is stored as a row basis in Hermite-style echelon form: pivots
 are positive, strictly right-moving, zero below, and reduced (into
 [0, pivot)) above. That form is unique per subgroup, so equal subgroups
 compare equal. Smith normal form with tracked unimodular transforms backs
-general integer linear solving and direct-sum complements.
+general integer linear solving and integer kernels.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .errors import (
-    DimensionError,
-    MembershipError,
-    TorsionError,
-)
+from .errors import DimensionError
 
 Matrix = list[list[int]]
 
@@ -89,10 +85,6 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
@@ -116,14 +108,7 @@ class Lattice:
 
     def member(self, w) -> bool:
         """Whether w is an integral combination of the basis rows."""
-        t = self._check_dim(w)
-        for row, p in zip(self.basis, self.pivots):
-            if t[p] % row[p] != 0:
-                return False
-            q = t[p] // row[p]
-            if q:
-                t = [x - q * y for x, y in zip(t, row)]
-        return not any(t)
+        return self.solve_integral(w) is not None
 
     def solve_integral(self, w):
         """Coefficients expressing w in the basis, or None when w is outside."""
@@ -150,101 +135,44 @@ class Lattice:
             out.append(g)
         return tuple(out)
 
-    def complement_of(self, v) -> "Lattice":
-        """A subgroup B with B + Zv equal to this lattice and B ∩ Zv = 0.
-
-        Requires v to be a nonzero member whose quotient is torsion-free
-        (equivalently: v's coefficient vector in the basis is primitive).
-        """
-        vec = self._check_dim(v)
-        if not any(vec):
-            raise ValueError("complement_of: v must be nonzero")
-        coeffs = self.solve_integral(vec)
-        if coeffs is None:
-            raise MembershipError("complement_of: v is not a member")
-        g = 0
-        for c in coeffs:
-            g = gcd(g, c)
-        if g != 1:
-            raise TorsionError(
-                "complement_of: quotient by v has torsion (coefficients share "
-                f"factor {g})"
-            )
-        u = unimodular_completion(list(coeffs))
-        rows = []
-        for urow in u[1:]:
-            rows.append(
-                [
-                    sum(urow[k] * self.basis[k][j] for k in range(self.rank))
-                    for j in range(self.ambient_dim)
-                ]
-            )
-        return Lattice(self.ambient_dim, rows)
-
 
 def smith_transforms(mat: Matrix):
-    """Reduce mat to Smith form D, tracking all four unimodular transforms.
+    """Reduce mat to Smith form D, tracking the unimodular transforms.
 
-    Returns (p, p_inv, d, q, q_inv) with p·mat·q == d, p·p_inv == I and
-    q·q_inv == I; d is (rectangular) diagonal with nonnegative entries and
-    each diagonal entry dividing the next.
+    Returns (p, d, q) with p·mat·q == d; d is (rectangular) diagonal with
+    nonnegative entries and each diagonal entry dividing the next.
     """
     a = [list(map(int, row)) for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     p = _identity(nrows)
-    p_inv = _identity(nrows)
     q = _identity(ncols)
-    q_inv = _identity(ncols)
 
     def row_swap(i, j):
-        if i == j:
-            return
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-        for row in p_inv:
-            row[i], row[j] = row[j], row[i]
+        for m in (a, p):
+            m[i], m[j] = m[j], m[i]
 
     def row_addmul(i, j, c):
         # row_i += c * row_j
         if c == 0:
             return
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
-        for row in p_inv:
-            row[j] -= c * row[i]
+        for m in (a, p):
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
 
     def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        p[i] = [-x for x in p[i]]
-        for row in p_inv:
-            row[i] = -row[i]
+        for m in (a, p):
+            m[i] = [-x for x in m[i]]
 
     def col_swap(i, j):
-        if i == j:
-            return
-        for row in a:
+        for row in (*a, *q):
             row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-        q_inv[i], q_inv[j] = q_inv[j], q_inv[i]
 
     def col_addmul(j, i, c):
         # col_j += c * col_i
         if c == 0:
             return
-        for row in a:
+        for row in (*a, *q):
             row[j] += c * row[i]
-        for row in q:
-            row[j] += c * row[i]
-        q_inv[i] = [x - c * y for x, y in zip(q_inv[i], q_inv[j])]
-
-    def col_negate(j):
-        for row in a:
-            row[j] = -row[j]
-        for row in q:
-            row[j] = -row[j]
-        q_inv[j] = [-x for x in q_inv[j]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -294,14 +222,7 @@ def smith_transforms(mat: Matrix):
         if a[t][t] < 0:
             row_negate(t)
         t += 1
-    return p, p_inv, a, q, q_inv
-
-
-def smith_decompose(mat: Matrix):
-    """Return (u, d, w) with mat == u·d·w, u and w unimodular, d diagonal
-    with each entry dividing the next."""
-    _, p_inv, d, _, q_inv = smith_transforms(mat)
-    return p_inv, d, q_inv
+    return p, a, q
 
 
 def solve_integer_system(mat: Matrix, rhs: list[int]):
@@ -312,7 +233,7 @@ def solve_integer_system(mat: Matrix, rhs: list[int]):
         raise DimensionError("solve_integer_system: rhs length mismatch")
     if ncols == 0:
         return [] if not any(rhs) else None
-    p, _, d, q, _ = smith_transforms(mat)
+    p, d, q = smith_transforms(mat)
     y = mat_vec(p, list(map(int, rhs)))
     u = [0] * ncols
     for i in range(nrows):
@@ -333,28 +254,10 @@ def integer_kernel(mat: Matrix) -> list[list[int]]:
     ncols = len(mat[0]) if mat else 0
     if ncols == 0:
         return []
-    _, _, d, q, _ = smith_transforms(mat)
+    _, d, q = smith_transforms(mat)
     out = []
     for j in range(ncols):
         dj = d[j][j] if j < min(nrows, ncols) else 0
         if dj == 0:
             out.append([q[i][j] for i in range(ncols)])
     return out
-
-
-def unimodular_completion(coeffs: list[int]) -> Matrix:
-    """A unimodular matrix whose first row is the given primitive vector."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    if g != 1:
-        raise ValueError("unimodular_completion: vector is not primitive")
-    _, _, d, _, q_inv = smith_transforms([list(coeffs)])
-    assert d[0][0] == 1
-    # coeffs == ±(first row of q_inv); flip that row if the sign differs.
-    first = q_inv[0]
-    if first != list(coeffs):
-        first = [-x for x in first]
-    if first != list(coeffs):
-        raise AssertionError("unimodular completion failed")
-    return [first] + [row[:] for row in q_inv[1:]]

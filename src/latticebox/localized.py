@@ -213,6 +213,20 @@ def rational_box_solve(vectors, target, lower, upper):
     return x
 
 
+def _cleared_system(vectors, target):
+    """sum(x_i v_i) = target with denominators cleared, as (mat, rhs).
+
+    Both sides are scaled by the lcm of every denominator; mat has one row
+    per coordinate and one column per vector.
+    """
+    scale = lcm(
+        *(x.denominator for v in vectors for x in v),
+        *(x.denominator for x in target),
+    )
+    mat = [[int(v[j] * scale) for v in vectors] for j in range(len(target))]
+    return mat, [int(x * scale) for x in target]
+
+
 def qp_solve_exact(vectors, target, primes: PrimeSet):
     """Coefficients in the restricted ring with sum(x_i v_i) = target.
 
@@ -232,14 +246,8 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
         return [] if not any(w) else None
     if n == 0:
         return [Fraction(0)] * len(vecs)
-    scale = lcm(
-        *(x.denominator for v in vecs for x in v),
-        *(x.denominator for x in w),
-    )
-    cols = [[int(x * scale) for x in v] for v in vecs]
-    mat = [[cols[i][j] for i in range(len(vecs))] for j in range(n)]
-    rhs = [int(x * scale) for x in w]
-    p, _, d, q, _ = smith_transforms(mat)
+    mat, rhs = _cleared_system(vecs, w)
+    p, d, q = smith_transforms(mat)
     y = [sum(p[i][j] * rhs[j] for j in range(n)) for i in range(n)]
     k = len(vecs)
     u = [Fraction(0)] * k
@@ -264,15 +272,7 @@ def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
     Uses one integer solution of the equalities plus the integer kernel
     lattice, and scans the shifted box for a kernel point.
     """
-    scale = lcm(
-        *(x.denominator for v in inst.vectors for x in v),
-        *(x.denominator for x in inst.target),
-    )
-    mat = [
-        [int(inst.vectors[i][j] * scale) for i in range(inst.size)]
-        for j in range(len(inst.target))
-    ]
-    rhs = [int(x * scale) for x in inst.target]
+    mat, rhs = _cleared_system(inst.vectors, inst.target)
     base = solve_integer_system(mat, rhs)
     if base is None:
         raise PreconditionError("target is outside the integer span")

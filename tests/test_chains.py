@@ -246,6 +246,5 @@ def test_certify_dimension_cap():
 def test_sign_partition():
     part = SignPartition.of((2, -3, 0))
     assert part.pos == (0,) and part.neg == (1,) and part.zero == (2,)
-    assert part.support_size == 2
     imap = IndexMap.of(part)
     assert imap.output_dim == 1 + 1
