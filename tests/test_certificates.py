@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,9 +22,16 @@ from latticebox.certificates import (
     solve_box,
     substitute,
 )
-from latticebox.chains import DivisorVector, IndexMap, certify
-from latticebox.errors import CapExceededError, DimensionError, ResourceLimitError
+from latticebox.chains import ChainCertificate, DivisorVector, IndexMap, certify
+from latticebox.errors import (
+    CapExceededError,
+    DimensionError,
+    InconsistencyError,
+    LatticeBoxError,
+    ResourceLimitError,
+)
 from latticebox.lattice import Lattice
+from latticebox.localized import near_integers_solve
 from latticebox.serialize import certset_to_json, dumps
 
 
@@ -217,6 +225,46 @@ def test_solve_box_witness_digest():
         == "a8a1e386e7b916412a11564727de5351789df9ea134276bbcc0f20c42f43cabc"
     )
 
+
+
+def test_near_integers_solve_digest():
+    # pins the exact near_integers_solve outcomes on small 0/+-1 families;
+    # their circuits are mostly unimodular, so the prime set is often empty
+    # and about one family in five ends in the integral fallback
+    rng = random.Random(4099)
+    outcomes = []
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 5)
+        vecs = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        hidden = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
+        target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
+        lower = [rng.randint(-3, 2) for _ in range(m)]
+        upper = [lo + rng.randint(0, 4) for lo in lower]
+        try:
+            res = near_integers_solve(vecs, target, lower, upper)
+        except LatticeBoxError as exc:
+            outcomes.append(type(exc).__name__)
+            continue
+        cases = None if res.trace is None else [s.case for s in res.trace.steps]
+        outcomes.append((res.reason, res.solution, cases))
+    fallbacks = [o for o in outcomes if o[2] == ["integral_fallback"]]
+    assert len(fallbacks) == 117
+    assert (
+        hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        == "f28c7f3df387b8186e9ec896f827c9d2bcb600ca56fc5d1054ea652704211ff0"
+    )
+
+
+def test_solve_box_rejects_child_outside_image():
+    # a forged chain whose child claims Z while the true image is 2Z: the
+    # lift must refuse a child witness that no lattice member maps to
+    lat = Lattice(2, [(2, 4), (0, 8)])
+    c = certify(lat)
+    forged = ChainCertificate(lat, c.divisor, c.index_map, certify(Lattice(1, [(1,)])))
+    with pytest.raises(InconsistencyError, match="outside the image lattice"):
+        solve_box(forged, Box.of((0, 0), (2, 6)))
+    assert solve_box(forged, Box.of((0, 0), (4, 8))) == (0, 8)
 
 def test_substitute_round_trip():
     e = Diff(FloorDiv(Upper(0), 2), CeilDiv(Lower(1), -3))
