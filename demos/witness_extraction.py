@@ -6,6 +6,12 @@ The same recursion that proves the certificate equivalence also produces
 a witness: solve the reduced instance for the image lattice, lift the
 image point back to a lattice member, and shift it along the divisor
 vector by the smallest feasible multiplier.
+
+The lift needs no linear algebra. Each reduced coordinate is a quotient
+difference y_i/v_i - y_j/v_j (or a zero coordinate passed through), so
+fixing y = 0 at the first nonzero coordinate of v reads every other
+coordinate straight off the image point. That point differs from any
+other preimage by a multiple of v, which the shift absorbs.
 """
 
 import random

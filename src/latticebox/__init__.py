@@ -62,11 +62,7 @@ from .errors import (
     RingMembershipError,
     ZeroLatticeError,
 )
-from .lattice import (
-    Lattice,
-    integer_kernel,
-    solve_integer_system,
-)
+from .lattice import Lattice
 from .localized import (
     QpBoxInstance,
     QpSolveResult,
@@ -122,7 +118,6 @@ __all__ = [
     "generate_certificates",
     "image_lattice",
     "in_qp",
-    "integer_kernel",
     "is_prime",
     "map_point",
     "near_integers_solve",
@@ -135,5 +130,4 @@ __all__ = [
     "reduced_bounds_exprs",
     "refine_to_qp",
     "solve_box",
-    "solve_integer_system",
 ]

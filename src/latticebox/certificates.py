@@ -31,7 +31,7 @@ from operator import sub
 from .arith import ceil_div, floor_div
 from .chains import ChainCertificate, DivisorVector, IndexMap, map_point
 from .errors import CapExceededError, DimensionError, InconsistencyError
-from .lattice import Lattice, solve_integer_system
+from .lattice import Lattice
 
 DEFAULT_ORACLE_CAP = 10**6
 
@@ -275,13 +275,18 @@ def solve_box(cert: ChainCertificate, box: Box):
 
     Follows the constructive recursion: check the per-coordinate interval
     conditions, compute the reduced bounds on integers, solve the child,
-    lift the child witness z to some member y of the lattice that maps to
-    it, then pick the smallest feasible multiplier t for y + t·v. Any
-    preimage serves: the map's kernel inside the lattice is exactly Zv, so
-    all preimages of z form the one coset y + Zv, and the smallest t picks
-    the same point from each. Returns None exactly on the inputs where the
-    certificate set evaluates negative somewhere; a child success that
-    cannot be lifted is an internal inconsistency.
+    lift the child witness z to a member y of the lattice that maps to it,
+    then pick the smallest feasible multiplier t for y + t·v.
+
+    The lift is read off z in closed form. With i0 the first nonzero
+    coordinate of v, set y_i0 = 0, y_j = -z[(i0, j)]·v_j on every other
+    nonzero j, and y_k = z_k on the zero coordinates. When z is in the
+    image with some preimage y*, this y equals y* - r·v for r = y*_i0/v_i0,
+    so it lies in the coset y* + Zv of all preimages (the map's kernel
+    inside the lattice is exactly Zv), and the smallest t picks the same
+    point from any of them. Returns None exactly on the inputs where the
+    certificate set evaluates negative somewhere; a child witness with no
+    preimage in the lattice is an internal inconsistency.
     """
     lat = cert.lattice
     if box.dim != lat.ambient_dim:
@@ -310,15 +315,16 @@ def solve_box(cert: ChainCertificate, box: Box):
     if z is None:
         return None
 
-    images = [map_point(div, cert.index_map, row) for row in lat.basis]
-    cols = [[img[r] for img in images] for r in range(cert.index_map.output_dim)]
-    coeffs = solve_integer_system(cols, list(z))
-    if coeffs is None:
+    imap = cert.index_map
+    i0 = min(div.partition.pos + div.partition.neg)
+    y = [0] * lat.ambient_dim
+    for (i, j), zij in zip(imap.pairs, z):
+        if i == i0:
+            y[j] = -zij * v[j]
+    for k, zk in zip(imap.zeros, z[len(imap.pairs):]):
+        y[k] = zk
+    if map_point(div, imap, y) != z or not lat.member(y):
         raise InconsistencyError("child witness is outside the image lattice")
-    y = [
-        sum(coeffs[k] * lat.basis[k][j] for k in range(lat.rank))
-        for j in range(lat.ambient_dim)
-    ]
     for k in div.partition.zero:
         if not (a[k] <= y[k] <= b[k]):
             raise InconsistencyError("lifted point leaves the box on a zero coordinate")
@@ -332,17 +338,22 @@ def solve_box(cert: ChainCertificate, box: Box):
     return tuple(lo * v[i] + y[i] for i in range(lat.ambient_dim))
 
 
+def first_in_box(box: Box, accept, cap: int = DEFAULT_ORACLE_CAP):
+    """First point of the box in lexicographic order that accept takes, or None.
+
+    Refuses boxes of more than cap points before scanning any.
+    """
+    total = box.point_count()
+    if total > cap:
+        raise CapExceededError(f"box holds {total} points, cap is {cap}")
+    ranges = [range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)]
+    return next(filter(accept, product(*ranges)), None)
+
+
 def brute_force_solve(lat: Lattice, box: Box, cap: int = DEFAULT_ORACLE_CAP):
     """First lattice point of the box in lexicographic scan order, or None."""
     if box.dim != lat.ambient_dim:
         raise DimensionError(
             f"box dimension {box.dim}, lattice ambient is {lat.ambient_dim}"
         )
-    total = box.point_count()
-    if total > cap:
-        raise CapExceededError(f"box holds {total} points, cap is {cap}")
-    ranges = [range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)]
-    for point in product(*ranges):
-        if lat.member(point):
-            return point
-    return None
+    return first_in_box(box, lat.member, cap)

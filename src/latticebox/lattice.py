@@ -4,7 +4,7 @@ A lattice is stored as a row basis in Hermite-style echelon form: pivots
 are positive, strictly right-moving, zero below, and reduced (into
 [0, pivot)) above. That form is unique per subgroup, so equal subgroups
 compare equal. Smith normal form with tracked unimodular transforms backs
-general integer linear solving and integer kernels.
+only the ring-span solve of localized.qp_solve_exact.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ Matrix = list[list[int]]
 
 def _identity(k: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_vec(a: Matrix, v: list[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def _echelon_rows(n: int, gens) -> list[list[int]]:
@@ -223,41 +219,3 @@ def smith_transforms(mat: Matrix):
             row_negate(t)
         t += 1
     return p, a, q
-
-
-def solve_integer_system(mat: Matrix, rhs: list[int]):
-    """One integer solution x of mat·x == rhs, or None if none exists."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if len(rhs) != nrows:
-        raise DimensionError("solve_integer_system: rhs length mismatch")
-    if ncols == 0:
-        return [] if not any(rhs) else None
-    p, d, q = smith_transforms(mat)
-    y = mat_vec(p, list(map(int, rhs)))
-    u = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < min(nrows, ncols) else 0
-        if di == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % di != 0:
-                return None
-            u[i] = y[i] // di
-    return mat_vec(q, u)
-
-
-def integer_kernel(mat: Matrix) -> list[list[int]]:
-    """Basis of the integer kernel {x : mat·x == 0}."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if ncols == 0:
-        return []
-    _, d, q = smith_transforms(mat)
-    out = []
-    for j in range(ncols):
-        dj = d[j][j] if j < min(nrows, ncols) else 0
-        if dj == 0:
-            out.append([q[i][j] for i in range(ncols)])
-    return out

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .arith import PrimeSet, in_qp, p_part, parse_rational, rref
-from .certificates import Box, brute_force_solve
+from .certificates import Box, first_in_box
 from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
@@ -31,12 +31,7 @@ from .errors import (
     PreconditionError,
     RingMembershipError,
 )
-from .lattice import (
-    Lattice,
-    integer_kernel,
-    smith_transforms,
-    solve_integer_system,
-)
+from .lattice import smith_transforms
 
 
 @dataclass(frozen=True)
@@ -269,27 +264,22 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
 def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
     """Empty prime set: the ring is the integers, so search the box.
 
-    Uses one integer solution of the equalities plus the integer kernel
-    lattice, and scans the shifted box for a kernel point.
+    Returns the lexicographically first integer point of the (integral)
+    bounds that solves the equalities, under the oracle's point cap.
     """
     mat, rhs = _cleared_system(inst.vectors, inst.target)
-    base = solve_integer_system(mat, rhs)
-    if base is None:
-        raise PreconditionError("target is outside the integer span")
-    kernel = integer_kernel(mat)
-    klat = Lattice(inst.size, kernel)
-    box = Box.of(
-        [inst.lower[i] - base[i] for i in range(inst.size)],
-        [inst.upper[i] - base[i] for i in range(inst.size)],
-    )
-    shift = brute_force_solve(klat, box)
-    if shift is None:
+
+    def solves(x):
+        return all(sum(a * b for a, b in zip(row, x)) == r for row, r in zip(mat, rhs))
+
+    x = first_in_box(Box.of(inst.lower, inst.upper), solves)
+    if x is None:
         raise InconsistencyError(
             "an integral solution must exist once the rational and span "
             "checks pass, but the box scan found none"
         )
     steps.append(RefineStep(case="integral_fallback"))
-    return [Fraction(base[i] + shift[i]) for i in range(inst.size)]
+    return [Fraction(xi) for xi in x]
 
 
 def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], RefinementTrace]:

@@ -226,7 +226,6 @@ def test_solve_box_witness_digest():
     )
 
 
-
 def test_near_integers_solve_digest():
     # pins the exact near_integers_solve outcomes on small 0/+-1 families;
     # their circuits are mostly unimodular, so the prime set is often empty

@@ -103,6 +103,24 @@ def test_qpsolve_not_in_span_payload():
     }
 
 
+def test_qpsolve_zero_length_family(tmp_path):
+    # vectors of length 0: every point of the bounds solves the system, so
+    # the integral fallback returns the lower corner
+    inst = tmp_path / "zero_length.json"
+    inst.write_text(
+        json.dumps(
+            {"vectors": [[], []], "target": [], "lower": ["0", "1"], "upper": ["2", "3"]}
+        )
+    )
+    rc, out, _ = run_cli(["qpsolve", str(inst)])
+    assert rc == 0
+    assert out == (
+        '{\n  "prime_set": [],\n  "reason": null,\n'
+        '  "solution": [\n    "0",\n    "1"\n  ],\n  "solvable": true,\n'
+        '  "trace": {\n    "steps": [\n      {\n'
+        '        "case": "integral_fallback"\n      }\n    ]\n  }\n}\n'
+    )
+
 def test_exit_code_malformed_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,16 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from latticebox.arith import rref
 from latticebox.errors import DimensionError
-from latticebox.lattice import (
-    Lattice,
-    integer_kernel,
-    smith_transforms,
-    solve_integer_system,
-)
+from latticebox.lattice import Lattice, smith_transforms
 
 
 def mat_mul(a, b):
@@ -98,9 +95,19 @@ def test_member_iff_solve_property():
         w = [rng.randint(-10, 10) for _ in range(lat.ambient_dim)]
         coeffs = lat.solve_integral(w)
         assert (coeffs is not None) == lat.member(w)
-        # the Smith-form solver decides membership by another route
-        cols = [[row[j] for row in lat.basis] for j in range(lat.ambient_dim)]
-        assert (solve_integer_system(cols, w) is not None) == lat.member(w)
+        # independent route: the basis rows are independent, so the rational
+        # coefficients of w are unique when they exist, and w is a member
+        # iff they exist and are all integers
+        k = lat.rank
+        mat, pivots = rref(
+            [[Fraction(row[j]) for row in lat.basis] + [Fraction(w[j])]
+             for j in range(lat.ambient_dim)],
+            k,
+        )
+        assert len(pivots) == k
+        rational = all(row[k] == 0 for row in mat[k:])
+        integral = rational and all(row[k].denominator == 1 for row in mat[:k])
+        assert integral == lat.member(w)
         if coeffs is not None:
             rebuilt = [
                 sum(coeffs[k] * lat.basis[k][j] for k in range(lat.rank))
@@ -159,33 +166,3 @@ def test_smith_matches_sympy():
         expected = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
         assert d == expected.tolist()
 
-
-def test_solve_integer_system():
-    # 2x + 3y = 1 has integer solutions.
-    sol = solve_integer_system([[2, 3]], [1])
-    assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
-    assert solve_integer_system([[2]], [1]) is None
-    assert solve_integer_system([[2]], [4]) == [2]
-    rng = random.Random(37)
-    for _ in range(150):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
-        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        x = [rng.randint(-5, 5) for _ in range(cols)]
-        rhs = [sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        sol = solve_integer_system(m, rhs)
-        assert sol is not None
-        assert [
-            sum(m[i][j] * sol[j] for j in range(cols)) for i in range(rows)
-        ] == rhs
-
-
-def test_integer_kernel():
-    kern = integer_kernel([[2, 3]])
-    assert len(kern) == 1
-    v = kern[0]
-    assert 2 * v[0] + 3 * v[1] == 0
-    from math import gcd
-
-    assert abs(gcd(v[0], v[1])) == 1
-    assert integer_kernel([[1, 0], [0, 1]]) == []

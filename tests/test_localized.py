@@ -238,6 +238,12 @@ def test_refine_integral_fallback_empty_primes():
     assert all(yi.denominator == 1 for yi in y)
 
 
+def test_integral_fallback_zero_length_family():
+    res = near_integers_solve([(), ()], (), (0, 1), (2, 3))
+    assert res.solvable and res.solution == (F(0), F(1))
+    assert [s.case for s in res.trace.steps] == ["integral_fallback"]
+
+
 def test_refine_random_suite():
     rng = random.Random(151)
     done = 0
