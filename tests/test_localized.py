@@ -95,6 +95,20 @@ def test_qp_solve_exact_examples():
     assert qp_solve_exact([(2,), (3,)], (0,), PrimeSet()) == [0, 0]
 
 
+@pytest.mark.parametrize(
+    "vectors, target, expected",
+    [
+        ([], [1], None),
+        ([], [], []),
+        ([[], []], [], [0, 0]),
+        ([(0,)], (0,), [0]),
+        ([(0,)], (1,), None),
+    ],
+)
+def test_qp_solve_exact_degenerate_shapes(vectors, target, expected):
+    assert qp_solve_exact(vectors, target, PrimeSet()) == expected
+
+
 def test_qp_solve_exact_ring_sensitivity():
     # 1 = x*2 needs denominator 2: allowed only when 2 is in the ring
     assert qp_solve_exact([(2,)], (1,), PrimeSet([2])) == [F(1, 2)]
