@@ -1,10 +1,9 @@
-"""Subgroups of Z^n in canonical echelon form, with exact integer solving.
+"""Subgroups of Z^n in canonical echelon form, with exact membership.
 
 A lattice is stored as a row basis in Hermite-style echelon form: pivots
 are positive, strictly right-moving, zero below, and reduced (into
 [0, pivot)) above. That form is unique per subgroup, so equal subgroups
-compare equal. Smith normal form with tracked unimodular transforms backs
-only the ring-span solve of localized.qp_solve_exact.
+compare equal, and membership is read off the basis pivot by pivot.
 """
 
 from __future__ import annotations
@@ -12,12 +11,6 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DimensionError
-
-Matrix = list[list[int]]
-
-
-def _identity(k: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def _echelon_rows(n: int, gens) -> list[list[int]]:
@@ -131,91 +124,3 @@ class Lattice:
             out.append(g)
         return tuple(out)
 
-
-def smith_transforms(mat: Matrix):
-    """Reduce mat to Smith form D, tracking the unimodular transforms.
-
-    Returns (p, d, q) with p·mat·q == d; d is (rectangular) diagonal with
-    nonnegative entries and each diagonal entry dividing the next.
-    """
-    a = [list(map(int, row)) for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    p = _identity(nrows)
-    q = _identity(ncols)
-
-    def row_swap(i, j):
-        for m in (a, p):
-            m[i], m[j] = m[j], m[i]
-
-    def row_addmul(i, j, c):
-        # row_i += c * row_j
-        if c == 0:
-            return
-        for m in (a, p):
-            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
-
-    def row_negate(i):
-        for m in (a, p):
-            m[i] = [-x for x in m[i]]
-
-    def col_swap(i, j):
-        for row in (*a, *q):
-            row[i], row[j] = row[j], row[i]
-
-    def col_addmul(j, i, c):
-        # col_j += c * col_i
-        if c == 0:
-            return
-        for row in (*a, *q):
-            row[j] += c * row[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            # clear column t below the pivot
-            restart = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    row_addmul(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t right of the pivot
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    col_addmul(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot must divide the remaining submatrix
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-    return p, a, q

@@ -31,7 +31,6 @@ from .errors import (
     PreconditionError,
     RingMembershipError,
 )
-from .lattice import smith_transforms
 
 
 @dataclass(frozen=True)
@@ -208,28 +207,19 @@ def rational_box_solve(vectors, target, lower, upper):
     return x
 
 
-def _cleared_system(vectors, target):
-    """sum(x_i v_i) = target with denominators cleared, as (mat, rhs).
-
-    Both sides are scaled by the lcm of every denominator; mat has one row
-    per coordinate and one column per vector.
-    """
-    scale = lcm(
-        *(x.denominator for v in vectors for x in v),
-        *(x.denominator for x in target),
-    )
-    mat = [[int(v[j] * scale) for v in vectors] for j in range(len(target))]
-    return mat, [int(x * scale) for x in target]
-
-
 def qp_solve_exact(vectors, target, primes: PrimeSet):
     """Coefficients in the restricted ring with sum(x_i v_i) = target.
 
-    Clears denominators to an integer matrix equation and reads the answer
-    off the Smith form: solvable over the ring iff every transformed
-    coordinate divided by its diagonal entry has a P-smooth denominator
-    and the coordinates beyond the rank vanish. Returns None when the
-    target is outside the ring span.
+    Precondition: primes contains every circuit prime of the family, as
+    prime_set and QpBoxInstance.build give. Then the ring span is the ring
+    span of the pivot subfamily B of one rref pass: any other v_j forms a
+    circuit with part of B whose coefficient on v_j is a unit of the ring,
+    so v_j is a ring combination of B. The target is thus in the ring span
+    iff its unique coordinates over B lie in the ring; they are returned,
+    with 0 on the other vectors. Returns None when the target is outside
+    the ring span, and raises PreconditionError when some v_j has
+    coordinates over B outside the ring, the case the precondition rules
+    out.
     """
     vecs = [[parse_rational(x) for x in v] for v in vectors]
     w = [parse_rational(x) for x in target]
@@ -237,37 +227,33 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     for v in vecs:
         if len(v) != n:
             raise DimensionError("vector length differs from target length")
-    if not vecs:
-        return [] if not any(w) else None
-    if n == 0:
-        return [Fraction(0)] * len(vecs)
-    mat, rhs = _cleared_system(vecs, w)
-    p, d, q = smith_transforms(mat)
-    y = [sum(p[i][j] * rhs[j] for j in range(n)) for i in range(n)]
-    k = len(vecs)
-    u = [Fraction(0)] * k
-    for i in range(n):
-        di = d[i][i] if i < min(n, k) else 0
-        if di == 0:
-            if y[i] != 0:
-                return None
-        else:
-            val = Fraction(y[i], di)
-            if not in_qp(val, primes):
-                return None
-            u[i] = val
-    return [
-        sum(Fraction(q[i][j]) * u[j] for j in range(k)) for i in range(k)
-    ]
+    m = len(vecs)
+    mat, pivot_cols = rref([[v[j] for v in vecs] + [w[j]] for j in range(n)], m)
+    rank = len(pivot_cols)
+    if any(row[m] != 0 for row in mat[rank:]):
+        return None
+    if not all(in_qp(a, primes) for row in mat[:rank] for a in row[:m]):
+        raise PreconditionError("prime set misses a circuit prime of the family")
+    x = [Fraction(0)] * m
+    for row, col in zip(mat, pivot_cols):
+        x[col] = row[m]
+    return x if all(in_qp(xi, primes) for xi in x) else None
 
 
 def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
     """Empty prime set: the ring is the integers, so search the box.
 
     Returns the lexicographically first integer point of the (integral)
-    bounds that solves the equalities, under the oracle's point cap.
+    bounds that solves the equalities, under the oracle's point cap. The
+    equalities are scaled by the lcm of every denominator so the scan runs
+    on integers, with one row per coordinate and one column per vector.
     """
-    mat, rhs = _cleared_system(inst.vectors, inst.target)
+    scale = lcm(
+        *(x.denominator for v in inst.vectors for x in v),
+        *(x.denominator for x in inst.target),
+    )
+    mat = [[int(v[j] * scale) for v in inst.vectors] for j in range(len(inst.target))]
+    rhs = [int(x * scale) for x in inst.target]
 
     def solves(x):
         return all(sum(a * b for a, b in zip(row, x)) == r for row, r in zip(mat, rhs))

@@ -2,20 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
 from latticebox.arith import rref
 from latticebox.errors import DimensionError
-from latticebox.lattice import Lattice, smith_transforms
-
-
-def mat_mul(a, b):
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
+from latticebox.lattice import Lattice
 
 
 def rand_lattice(rng, n_max=4, entry=6):
@@ -114,55 +104,4 @@ def test_member_iff_solve_property():
                 for j in range(lat.ambient_dim)
             ]
             assert rebuilt == list(w)
-
-
-def test_smith_examples():
-    p, d, q = smith_transforms([[2, 0], [0, 3]])
-    assert d == [[1, 0], [0, 6]]
-    assert mat_mul(mat_mul(p, [[2, 0], [0, 3]]), q) == d
-    p, d, q = smith_transforms([[1, 0], [0, 1]])
-    assert d == [[1, 0], [0, 1]]
-    p, d, q = smith_transforms([[0, 0], [0, 0]])
-    assert d == [[0, 0], [0, 0]]
-    p, d, q = smith_transforms([[2, 4, 4], [-6, 6, 12]])
-    assert d == [[2, 0, 0], [0, 6, 0]]
-
-
-def test_smith_random_reconstruction():
-    rng = random.Random(31)
-    for _ in range(150):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        p, d, q = smith_transforms(m)
-        # unimodular: exact integer determinant +-1
-        assert abs(sympy.Matrix(p).det()) == 1
-        assert abs(sympy.Matrix(q).det()) == 1
-        assert mat_mul(mat_mul(p, m), q) == d
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-                else:
-                    assert d[i][j] >= 0
-
-
-def test_smith_matches_sympy():
-    # differential check of the whole diagonal form against an independent
-    # implementation, on shapes and entries beyond the reconstruction test
-    rng = random.Random(43)
-    for _ in range(150):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
-        if rng.random() < 0.3:
-            # a repeated row makes rank deficiency common
-            m[-1] = list(m[0])
-        _, d, _ = smith_transforms(m)
-        expected = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
-        assert d == expected.tolist()
 

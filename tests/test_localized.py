@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from latticebox.arith import PrimeSet, in_qp, p_part
 from latticebox.circuits import prime_set
@@ -92,7 +94,14 @@ def test_qp_solve_exact_examples():
     assert all(in_qp(o, PrimeSet([2, 3])) for o in out)
 
     assert qp_solve_exact([(2,)], (1,), PrimeSet()) is None
-    assert qp_solve_exact([(2,), (3,)], (0,), PrimeSet()) == [0, 0]
+    assert qp_solve_exact([(2,), (3,)], (0,), PrimeSet([2, 3])) == [0, 0]
+
+
+def test_qp_solve_exact_rejects_prime_set_missing_circuit_primes():
+    # the circuit (3, -2) needs {2, 3}; without them 3 is not a ring
+    # combination of 2 and the pivot subfamily cannot decide the span
+    with pytest.raises(PreconditionError):
+        qp_solve_exact([(2,), (3,)], (1,), PrimeSet())
 
 
 @pytest.mark.parametrize(
@@ -152,6 +161,73 @@ def test_qp_solve_exact_brute_agreement():
         if got is not None:
             assert sum(g * v[0] for g, v in zip(got, vecs)) == target[0]
             assert all(in_qp(g, primes) for g in got)
+
+
+def _coprime_invariant_product(rows, primes):
+    # product of the nonzero invariant factors with every prime of P
+    # stripped, and how many there are
+    diag = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    factors = [int(diag[i, i]) for i in range(min(diag.shape)) if diag[i, i] != 0]
+    prod = 1
+    for f in factors:
+        prod *= abs(f)
+    for p in primes:
+        while prod % p == 0:
+            prod //= p
+    return len(factors), prod
+
+
+def _invariant_factor_verdict(vectors, target, primes):
+    # w is in the Q_P-span of A iff A and [A | w] have the same rank and
+    # the P-coprime parts of their invariant factor products agree: their
+    # ratio is the order of w modulo the integer column span
+    scale = lcm(
+        *(x.denominator for v in vectors for x in v),
+        *(x.denominator for x in target),
+    )
+    a = [[int(v[j] * scale) for v in vectors] for j in range(len(target))]
+    aw = [row + [int(t * scale)] for row, t in zip(a, target)]
+    return _coprime_invariant_product(a, primes) == _coprime_invariant_product(
+        aw, primes
+    )
+
+
+def test_qp_solve_exact_matches_invariant_factors():
+    rng = random.Random(167)
+    verdicts = set()
+
+    def check(vecs, target, primes):
+        got = qp_solve_exact(vecs, target, primes)
+        expected = _invariant_factor_verdict(vecs, target, primes)
+        assert (got is not None) == expected
+        if got is not None:
+            for j in range(len(target)):
+                assert sum(x * v[j] for x, v in zip(got, vecs)) == target[j]
+            assert all(in_qp(x, primes) for x in got)
+        verdicts.add(expected)
+
+    for _ in range(250):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 6)
+        vecs = [
+            tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n))
+            for _ in range(m)
+        ]
+        if rng.random() < 0.5:
+            coeffs = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m)]
+            target = tuple(
+                sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(n)
+            )
+        else:
+            target = tuple(
+                F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)
+            )
+        primes = prime_set(vecs)
+        check(vecs, target, primes)
+        # a subfamily under the full family's primes, as refine_to_qp asks
+        subset = sorted(rng.sample(range(m), rng.randint(1, m)))
+        check([vecs[i] for i in subset], target, primes)
+    assert verdicts == {True, False}
 
 
 def refine_instance(vectors, target, lower, upper, x, primes=None):
