@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import ceil, floor, lcm
 
 import pytest
@@ -14,6 +15,7 @@ from latticebox.errors import (
 )
 from latticebox.localized import (
     QpBoxInstance,
+    _integral_fallback,
     near_integers_solve,
     qp_solve_exact,
     rational_box_solve,
@@ -85,6 +87,135 @@ def test_rational_box_solve_infeasible_detection():
             continue
         check_solution(vecs, target, lower, upper, x)
     assert hits > 0
+
+
+def _solve_columns(cols, rhs):
+    # the unique y with sum(y_k cols[k]) = rhs, None when there is none, or
+    # "singular" when the columns are dependent; plain Gaussian elimination
+    # written here so the oracle shares no code with the package
+    n, r = len(rhs), len(cols)
+    aug = [[cols[k][j] for k in range(r)] + [rhs[j]] for j in range(n)]
+    row = 0
+    for col in range(r):
+        piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return "singular"
+        aug[row], aug[piv] = aug[piv], aug[row]
+        for i in range(n):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col] / aug[row][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        row += 1
+    if any(aug[i][r] != 0 for i in range(r, n)):
+        return None
+    return [aug[k][r] / aug[k][k] for k in range(r)]
+
+
+def _free_columns(vectors):
+    # the columns that are combinations of the columns before them
+    independent, free = [], []
+    for c, v in enumerate(vectors):
+        col = [F(a) for a in v]
+        if _solve_columns(independent, col) is None:
+            independent.append(col)
+        else:
+            free.append(c)
+    return free
+
+
+def _brute_vertices(vectors, target, lower, upper):
+    # every vertex of {sum(x_i v_i) = target, lower <= x <= upper}: a basis
+    # of r = rank columns solved exactly, the other columns at a bound
+    m, n = len(vectors), len(target)
+    cols = [[F(a) for a in v] for v in vectors]
+    rank = m - len(_free_columns(vectors))
+    points = set()
+    for basis in combinations(range(m), rank):
+        if _solve_columns([cols[i] for i in basis], [F(0)] * n) == "singular":
+            continue
+        rest = [i for i in range(m) if i not in basis]
+        for corner in product((0, 1), repeat=len(rest)):
+            x = [None] * m
+            for i, side in zip(rest, corner):
+                x[i] = F(upper[i] if side else lower[i])
+            rhs = [
+                F(target[j]) - sum(x[i] * cols[i][j] for i in rest)
+                for j in range(n)
+            ]
+            y = _solve_columns([cols[i] for i in basis], rhs)
+            if y is None:
+                continue
+            for i, yi in zip(basis, y):
+                x[i] = yi
+            if all(F(a) <= xi <= F(b) for a, xi, b in zip(lower, x, upper)):
+                points.add(tuple(x))
+    return points
+
+
+def _lexmin_key(order):
+    return lambda x: [x[i] for i in order]
+
+
+def test_rational_box_solve_is_lexmin_vertex():
+    # rational_box_solve returns the vertex that is lexicographically least
+    # on the free (non-pivot) columns, taken last column first
+    rng = random.Random(24007)
+    outcomes = set()
+    for _ in range(160):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 6)
+        vecs = [
+            tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)
+        ]
+        hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+        if rng.random() < 0.2:
+            target = [F(rng.randint(-8, 8)) for _ in range(n)]
+        else:
+            target = [
+                sum(hidden[i] * vecs[i][j] for i in range(m)) for j in range(n)
+            ]
+        lower = [floor(h) - rng.randint(0, 2) for h in hidden]
+        upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
+        if rng.random() < 0.2:
+            i = rng.randrange(m)
+            upper[i] = lower[i]
+        got = rational_box_solve(vecs, target, lower, upper)
+        points = _brute_vertices(vecs, target, lower, upper)
+        if not points:
+            assert got is None
+            outcomes.add("infeasible")
+            continue
+        free = _free_columns(vecs)
+        assert got == list(min(points, key=_lexmin_key(free[::-1])))
+        outcomes.add("solved")
+    assert outcomes == {"infeasible", "solved"}
+
+
+def test_integral_fallback_is_lexmin_vertex():
+    # with an empty prime set every vertex is integral, and the fallback's
+    # answer is the vertex that is lexicographically least, x_0 first
+    rng = random.Random(24008)
+    done = 0
+    while done < 60:
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 5)
+        vecs = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        if prime_set(vecs):
+            continue
+        hidden = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
+        target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
+        lower = [floor(h) - rng.randint(0, 2) for h in hidden]
+        upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
+        inst = QpBoxInstance.build(vecs, target, lower, upper)
+        if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+            continue
+        steps = []
+        got = _integral_fallback(inst, steps)
+        points = _brute_vertices(vecs, target, lower, upper)
+        assert all(xi.denominator == 1 for x in points for xi in x)
+        assert tuple(got) == min(points, key=_lexmin_key(range(m)))
+        assert [s.case for s in steps] == ["integral_fallback"]
+        done += 1
 
 
 def test_qp_solve_exact_examples():
