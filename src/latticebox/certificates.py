@@ -338,22 +338,17 @@ def solve_box(cert: ChainCertificate, box: Box):
     return tuple(lo * v[i] + y[i] for i in range(lat.ambient_dim))
 
 
-def first_in_box(box: Box, accept, cap: int = DEFAULT_ORACLE_CAP):
-    """First point of the box in lexicographic order that accept takes, or None.
+def brute_force_solve(lat: Lattice, box: Box, cap: int = DEFAULT_ORACLE_CAP):
+    """First lattice point of the box in lexicographic scan order, or None.
 
     Refuses boxes of more than cap points before scanning any.
     """
-    total = box.point_count()
-    if total > cap:
-        raise CapExceededError(f"box holds {total} points, cap is {cap}")
-    ranges = [range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)]
-    return next(filter(accept, product(*ranges)), None)
-
-
-def brute_force_solve(lat: Lattice, box: Box, cap: int = DEFAULT_ORACLE_CAP):
-    """First lattice point of the box in lexicographic scan order, or None."""
     if box.dim != lat.ambient_dim:
         raise DimensionError(
             f"box dimension {box.dim}, lattice ambient is {lat.ambient_dim}"
         )
-    return first_in_box(box, lat.member, cap)
+    total = box.point_count()
+    if total > cap:
+        raise CapExceededError(f"box holds {total} points, cap is {cap}")
+    ranges = [range(lo, hi + 1) for lo, hi in zip(box.lower, box.upper)]
+    return next(filter(lat.member, product(*ranges)), None)

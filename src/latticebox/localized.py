@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .arith import PrimeSet, in_qp, p_part, parse_rational, rref
-from .certificates import Box, first_in_box
 from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
@@ -100,13 +99,98 @@ class RefinementTrace:
     steps: tuple[RefineStep, ...]
 
 
+def _lexmin(vectors, target, lower, upper, order):
+    """The lexicographic minimum of {x : sum(x_i v_i) = target, lower <= x <= upper}.
+
+    Minimizes x_k for each k in order, fixing x_k at its minimum before the
+    next; returns None when the set is empty. This is an exact
+    bounded-variable simplex over Fraction. The rref of the equalities
+    gives the first basis, with every nonbasic variable at its lower bound.
+    Phase 1 widens the bounds of each basic variable that starts outside
+    them to take in its start value, then drives those variables back one
+    at a time; one that cannot get back proves the set empty, because the
+    widened set contains it. Every pivot follows Bland's rule: the lowest
+    improving index enters, and ratio-test ties go to the lowest index. So
+    no basis repeats and every descent ends (Bland 1977). Every variable is
+    boxed, so no descent is unbounded.
+    """
+    m = len(vectors)
+    mat, basis = rref(
+        [[v[j] for v in vectors] + [t] for j, t in enumerate(target)], m
+    )
+    if any(row[m] != 0 for row in mat[len(basis):]):
+        return None
+    x = list(lower)
+    for row, b in zip(mat, basis):
+        x[b] += row[m] - sum(a * xi for a, xi in zip(row, lower))
+    rows = [row[:m] for row in mat[: len(basis)]]
+    where = {b: r for r, b in enumerate(basis)}
+    lo = [min(a, xi) for a, xi in zip(lower, x)]
+    hi = [max(b, xi) for b, xi in zip(upper, x)]
+
+    def descend(k, sign, goal):
+        # Pivot until sign·x_k <= sign·goal or no move lowers sign·x_k.
+        while sign * (x[k] - goal) > 0:
+            if k in where:
+                grad = [-sign * a for a in rows[where[k]]]
+            else:
+                grad = [sign if j == k else 0 for j in range(m)]
+            for j in range(m):
+                if j in where:
+                    continue
+                if grad[j] > 0 and x[j] > lo[j]:
+                    step = -1
+                    break
+                if grad[j] < 0 and x[j] < hi[j]:
+                    step = 1
+                    break
+            else:
+                return
+            reach, leave = hi[j] - lo[j], None
+            for r, b in enumerate(basis):
+                rate = -step * rows[r][j]
+                if rate == 0:
+                    continue
+                room = ((hi[b] if rate > 0 else lo[b]) - x[b]) / rate
+                if room < reach or (
+                    room == reach and leave is not None and b < basis[leave]
+                ):
+                    reach, leave = room, r
+            x[j] += step * reach
+            for r, b in enumerate(basis):
+                x[b] -= step * reach * rows[r][j]
+            if leave is None:
+                continue
+            prow = [a / rows[leave][j] for a in rows[leave]]
+            rows[leave] = prow
+            for r, row in enumerate(rows):
+                if r != leave and row[j] != 0:
+                    rows[r] = [a - row[j] * c for a, c in zip(row, prow)]
+            del where[basis[leave]]
+            basis[leave] = j
+            where[j] = leave
+
+    for k in range(m):
+        for sign, bound in ((1, upper[k]), (-1, lower[k])):
+            descend(k, sign, bound)
+            if sign * (x[k] - bound) > 0:
+                return None
+        lo[k], hi[k] = lower[k], upper[k]
+    for k in order:
+        descend(k, 1, lo[k])
+        lo[k] = hi[k] = x[k]
+    return x
+
+
 def rational_box_solve(vectors, target, lower, upper):
     """A rational x with sum(x_i v_i) = target and lower <= x <= upper.
 
-    Exact Fourier-Motzkin elimination on the box system after Gaussian
-    elimination of the equalities; variables are eliminated in ascending
-    index order and values are reassembled in reverse, taking the lowest
-    feasible value at each step. Returns None when infeasible.
+    Returns the vertex that is lexicographically least on the free
+    (non-pivot) columns of the rref of the equalities, taken last column
+    first, or None when infeasible. It is found by the exact simplex of
+    _lexmin, which Bland's rule makes terminate, and is the point that
+    eliminating the free variables in ascending order and back-substituting
+    the lowest feasible value of each would give.
     """
     vecs = [[parse_rational(x) for x in v] for v in vectors]
     w = [parse_rational(x) for x in target]
@@ -121,89 +205,16 @@ def rational_box_solve(vectors, target, lower, upper):
         raise DimensionError("bound count differs from family size")
     if any(a > b for a, b in zip(lo, hi)):
         return None
-    if m == 0:
-        return [] if not any(w) else None
-
-    # Gauss-Jordan elimination: coordinates are equations, family members
-    # are the unknowns and the target rides along as column m. Afterward
-    # every pivot variable is an affine function of the free variables.
-    mat, pivot_cols = rref([[v[j] for v in vecs] + [w[j]] for j in range(n)], m)
-    if any(row[m] != 0 for row in mat[len(pivot_cols):]):
-        return None
-    pivots = {c: r for r, c in enumerate(pivot_cols)}
+    pivots = rref([[v[j] for v in vecs] for j in range(n)], m)[1]
     free = [c for c in range(m) if c not in pivots]
-    fpos = {c: k for k, c in enumerate(free)}
-
-    def affine(i):
-        """x_i as (coeffs over free vars, constant)."""
-        if i in fpos:
-            coeffs = [Fraction(0)] * len(free)
-            coeffs[fpos[i]] = Fraction(1)
-            return coeffs, Fraction(0)
-        r = pivots[i]
-        return [-mat[r][f] for f in free], mat[r][m]
-
-    # Inequality rows (coeffs, const) meaning sum(coeffs·y) <= const.
-    rows = []
-    for i in range(m):
-        coeffs, const = affine(i)
-        rows.append((coeffs, hi[i] - const))
-        rows.append(([-c for c in coeffs], const - lo[i]))
-
-    stages = [rows]
-    for k in range(len(free)):
-        cur = stages[-1]
-        nxt = []
-        pos_rows = [r for r in cur if r[0][k] > 0]
-        neg_rows = [r for r in cur if r[0][k] < 0]
-        for coeffs, const in cur:
-            if coeffs[k] == 0:
-                nxt.append((coeffs, const))
-        for pc, pconst in pos_rows:
-            for nc, nconst in neg_rows:
-                # y_k <= pconst/pc_k and y_k >= nconst/nc_k combine.
-                scale_p = pc[k]
-                scale_n = -nc[k]
-                coeffs = [
-                    scale_n * pc[j] + scale_p * nc[j] for j in range(len(free))
-                ]
-                nxt.append((coeffs, scale_n * pconst + scale_p * nconst))
-        stages.append(nxt)
-    for coeffs, const in stages[-1]:
-        if const < 0:
-            return None
-
-    values: list[Fraction] = [Fraction(0)] * len(free)
-    for k in reversed(range(len(free))):
-        best_lo = None
-        best_hi = None
-        for coeffs, const in stages[k]:
-            if coeffs[k] == 0:
-                continue
-            rest = sum(
-                coeffs[j] * values[j] for j in range(k + 1, len(free))
-            )
-            bound = (const - rest) / coeffs[k]
-            if coeffs[k] > 0:
-                best_hi = bound if best_hi is None else min(best_hi, bound)
-            else:
-                best_lo = bound if best_lo is None else max(best_lo, bound)
-        if best_lo is not None:
-            values[k] = best_lo
-        elif best_hi is not None:
-            values[k] = best_hi
-        else:
-            values[k] = Fraction(0)
-
-    x = []
-    for i in range(m):
-        coeffs, const = affine(i)
-        x.append(sum(c * y for c, y in zip(coeffs, values)) + const)
+    x = _lexmin(vecs, w, lo, hi, free[::-1])
+    if x is None:
+        return None
     for j in range(n):
         if sum(x[i] * vecs[i][j] for i in range(m)) != w[j]:
-            raise InconsistencyError("eliminated system lost the equalities")
+            raise InconsistencyError("simplex vertex lost the equalities")
     if any(not (a <= xi <= b) for a, xi, b in zip(lo, x, hi)):
-        raise InconsistencyError("elimination produced an out-of-box point")
+        raise InconsistencyError("simplex produced an out-of-box point")
     return x
 
 
@@ -241,31 +252,22 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
 
 
 def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
-    """Empty prime set: the ring is the integers, so search the box.
+    """Empty prime set: the ring is the integers.
 
-    Returns the lexicographically first integer point of the (integral)
-    bounds that solves the equalities, under the oracle's point cap. The
-    equalities are scaled by the lcm of every denominator so the scan runs
-    on integers, with one row per coordinate and one column per vector.
+    Every vertex of the solution set is then integral: its nonbasic
+    coordinates sit at integer bounds, and its basic ones are coordinates
+    over a basis, which lie in the ring by the circuit argument of
+    qp_solve_exact. So the vertex that is least with x_0 first is the
+    lexicographically first integer solution in the bounds. A vertex that
+    is not integral fails the ring re-check in _refine.
     """
-    scale = lcm(
-        *(x.denominator for v in inst.vectors for x in v),
-        *(x.denominator for x in inst.target),
-    )
-    mat = [[int(v[j] * scale) for v in inst.vectors] for j in range(len(inst.target))]
-    rhs = [int(x * scale) for x in inst.target]
-
-    def solves(x):
-        return all(sum(a * b for a, b in zip(row, x)) == r for row, r in zip(mat, rhs))
-
-    x = first_in_box(Box.of(inst.lower, inst.upper), solves)
+    x = _lexmin(inst.vectors, inst.target, inst.lower, inst.upper, range(inst.size))
     if x is None:
         raise InconsistencyError(
-            "an integral solution must exist once the rational and span "
-            "checks pass, but the box scan found none"
+            "the solution set is empty although refine_to_qp got a solution"
         )
     steps.append(RefineStep(case="integral_fallback"))
-    return [Fraction(xi) for xi in x]
+    return x
 
 
 def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], RefinementTrace]:
@@ -288,12 +290,35 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
             raise PreconditionError(f"coordinate {xi} is outside [{a}, {b}]")
     if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
         raise PreconditionError("target is outside the ring span")
+    return _refine(inst, xs)
 
+
+def _refine(inst: QpBoxInstance, xs) -> tuple[tuple[Fraction, ...], RefinementTrace]:
+    """refine_to_qp once its preconditions hold; re-checks the output."""
     steps: list[RefineStep] = []
-    if not inst.primes:
+    if inst.primes:
+        y = _induct(inst, xs, steps)
+    else:
         y = _integral_fallback(inst, steps)
-        return tuple(y), RefinementTrace(tuple(steps))
+    for j in range(len(inst.target)):
+        total = sum(y[i] * inst.vectors[i][j] for i in range(inst.size))
+        if total != inst.target[j]:
+            raise InconsistencyError("refined point no longer solves the system")
+    for a, yi, b in zip(inst.lower, y, inst.upper):
+        if not (a <= yi <= b):
+            raise InconsistencyError("refined point left the box")
+    for yi in y:
+        if not in_qp(yi, inst.primes):
+            raise InconsistencyError("refined coordinate is outside the ring")
+    return tuple(y), RefinementTrace(tuple(steps))
 
+
+def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
+    """The constructive induction over a nonempty prime set.
+
+    Fixes one ring coordinate at a time (case1), or, when none is in the
+    ring, perturbs along a circuit until one is (case2).
+    """
     primes = inst.primes
     result: dict[int, Fraction] = {}
     active = list(range(inst.size))
@@ -435,18 +460,7 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
             )
         )
 
-    y = tuple(result[i] for i in range(inst.size))
-    for j in range(len(inst.target)):
-        total = sum(y[i] * inst.vectors[i][j] for i in range(inst.size))
-        if total != inst.target[j]:
-            raise InconsistencyError("refined point no longer solves the system")
-    for a, yi, b in zip(inst.lower, y, inst.upper):
-        if not (a <= yi <= b):
-            raise InconsistencyError("refined point left the box")
-    for yi in y:
-        if not in_qp(yi, inst.primes):
-            raise InconsistencyError("refined coordinate is outside the ring")
-    return y, RefinementTrace(tuple(steps))
+    return [result[i] for i in range(inst.size)]
 
 
 @dataclass(frozen=True)
@@ -465,11 +479,10 @@ def near_integers_solve(vectors, target, lower, upper, primes=None) -> QpSolveRe
     pass there is a ring solution in the box, and one is produced.
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper, primes)
-    span = qp_solve_exact(inst.vectors, inst.target, inst.primes)
-    if span is None:
+    if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
         return QpSolveResult(False, "not-in-span", None, None, inst.primes)
     x = rational_box_solve(inst.vectors, inst.target, inst.lower, inst.upper)
     if x is None:
         return QpSolveResult(False, "no-rational-solution", None, None, inst.primes)
-    y, trace = refine_to_qp(inst, x)
+    y, trace = _refine(inst, x)
     return QpSolveResult(True, None, y, trace, inst.primes)

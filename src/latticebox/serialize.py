@@ -32,13 +32,6 @@ def dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def lattice_to_json(lat: Lattice) -> dict:
-    return {
-        "ambient_dim": lat.ambient_dim,
-        "generators": [[str(x) for x in row] for row in lat.basis],
-    }
-
-
 def lattice_from_json(data) -> Lattice:
     n = parse_int(data["ambient_dim"])
     gens = [[parse_int(x) for x in row] for row in data["generators"]]
@@ -50,13 +43,6 @@ def box_from_json(data) -> Box:
         [parse_int(x) for x in data["lower"]],
         [parse_int(x) for x in data["upper"]],
     )
-
-
-def box_to_json(box: Box) -> dict:
-    return {
-        "lower": [str(x) for x in box.lower],
-        "upper": [str(x) for x in box.upper],
-    }
 
 
 def expr_to_json(expr: Expr) -> dict:

@@ -121,6 +121,32 @@ def test_qpsolve_zero_length_family(tmp_path):
         '        "case": "integral_fallback"\n      }\n    ]\n  }\n}\n'
     )
 
+def test_qpsolve_fourteen_unit_vectors(tmp_path):
+    # 3^14 box points, far past the oracle's cap: the integral fallback
+    # must still return the lexicographically first integer solution
+    inst = tmp_path / "ones.json"
+    inst.write_text(
+        json.dumps(
+            {
+                "vectors": [["1"]] * 14,
+                "target": ["7"],
+                "lower": ["0"] * 14,
+                "upper": ["2"] * 14,
+            }
+        )
+    )
+    rc, out, _ = run_cli(["qpsolve", str(inst)])
+    assert rc == 0
+    solution = ["0"] * 10 + ["1", "2", "2", "2"]
+    assert out == (
+        '{\n  "prime_set": [],\n  "reason": null,\n  "solution": [\n'
+        + ",\n".join(f'    "{x}"' for x in solution)
+        + '\n  ],\n  "solvable": true,\n'
+        '  "trace": {\n    "steps": [\n      {\n'
+        '        "case": "integral_fallback"\n      }\n    ]\n  }\n}\n'
+    )
+
+
 def test_exit_code_malformed_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, lcm
@@ -500,6 +501,48 @@ def test_refine_random_suite():
         done += 1
 
 
+def test_refine_reaches_case2_from_arbitrary_points():
+    # every rational_box_solve output is a vertex and so already in the
+    # ring; the circuit perturbation (case2) needs points off the ring, so
+    # feed the acceptance construction's hidden point and the midpoint of
+    # the least and the greatest vertex
+    rng = random.Random(24005)
+    cases = Counter()
+    done = 0
+    while done < 200:
+        m = rng.randint(2, 6)
+        n = rng.randint(1, 3)
+        vecs = [tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)]
+        hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+        target = [
+            sum(hidden[i] * vecs[i][j] for i in range(m)) for j in range(n)
+        ]
+        lower = [floor(hidden[i]) - rng.randint(0, 2) for i in range(m)]
+        upper = [ceil(hidden[i]) + rng.randint(0, 2) for i in range(m)]
+        inst = QpBoxInstance.build(vecs, target, lower, upper)
+        if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+            continue
+        least = rational_box_solve(vecs, target, lower, upper)
+        # the least vertex of the mirrored system x -> -x is the greatest
+        greatest = [
+            -z
+            for z in rational_box_solve(
+                [[-a for a in v] for v in vecs],
+                target,
+                [-b for b in upper],
+                [-a for a in lower],
+            )
+        ]
+        middle = [(a + b) / 2 for a, b in zip(least, greatest)]
+        for x in (hidden, middle):
+            y, trace = refine_to_qp(inst, x)
+            check_solution(vecs, target, lower, upper, y)
+            assert all(in_qp(yi, inst.primes) for yi in y)
+            cases.update(s.case for s in trace.steps)
+        done += 1
+    assert cases["case2"] > 0
+
+
 def test_refine_case2_increases_ring_coordinates():
     # start from solutions with every coordinate outside the ring: the
     # ring target divided across both coordinates through a non-ring prime
@@ -535,6 +578,33 @@ def test_near_integers_examples():
 
     res = near_integers_solve([(1,)], (2,), (0,), (1,))
     assert not res.solvable and res.reason == "no-rational-solution"
+
+
+def test_near_integers_solve_large_families():
+    # m = 9..20, up to the documented family limit: the rational box
+    # solution must come back for every m, and every answer must verify
+    rng = random.Random(9020)
+    cases = Counter()
+    for m in range(9, 21):
+        n = rng.randint(2, 3)
+        if m % 2:
+            vecs = [
+                tuple(F(rng.choice((0, 0, 1, -1))) for _ in range(n))
+                for _ in range(m)
+            ]
+            hidden = [F(rng.randint(-3, 3)) for _ in range(m)]
+        else:
+            vecs = [tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)]
+            hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+        target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
+        lower = [floor(h) - rng.randint(0, 2) for h in hidden]
+        upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
+        res = near_integers_solve(vecs, target, lower, upper)
+        assert res.solvable
+        check_solution(vecs, target, lower, upper, res.solution)
+        assert all(in_qp(y, res.primes) for y in res.solution)
+        cases.update(s.case for s in res.trace.steps)
+    assert cases["integral_fallback"] > 0 and cases["case1"] > 0
 
 
 def test_near_integers_bounds_error():
