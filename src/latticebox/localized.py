@@ -187,10 +187,8 @@ def rational_box_solve(vectors, target, lower, upper):
 
     Returns the vertex that is lexicographically least on the free
     (non-pivot) columns of the rref of the equalities, taken last column
-    first, or None when infeasible. It is found by the exact simplex of
-    _lexmin, which Bland's rule makes terminate, and is the point that
-    eliminating the free variables in ascending order and back-substituting
-    the lowest feasible value of each would give.
+    first, or None when infeasible. The exact simplex of _lexmin finds it,
+    and Bland's rule makes it terminate.
     """
     vecs = [[parse_rational(x) for x in v] for v in vectors]
     w = [parse_rational(x) for x in target]
