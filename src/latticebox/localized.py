@@ -262,7 +262,7 @@ def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
     x = _lexmin(inst.vectors, inst.target, inst.lower, inst.upper, range(inst.size))
     if x is None:
         raise InconsistencyError(
-            "the solution set is empty although refine_to_qp got a solution"
+            "the solution set is empty although a solution was given"
         )
     steps.append(RefineStep(case="integral_fallback"))
     return x
