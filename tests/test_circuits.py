@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -203,3 +204,47 @@ def test_circuit_is_frozen_value():
     c = Circuit((0, 1), (3, -2))
     assert c == Circuit((0, 1), (3, -2))
     assert hash(c) == hash(Circuit((0, 1), (3, -2)))
+
+
+def _digest_family(rng):
+    # integer or rational entries with many zeros, then some vectors zeroed
+    # and some replaced by a copy or a multiple of an earlier vector
+    m = rng.randint(0, 9)
+    n = rng.randint(1, 5)
+    rational = rng.random() < 0.3
+    vecs = []
+    for i in range(m):
+        roll = rng.random()
+        if roll < 0.1:
+            vecs.append([Fraction(0)] * n)
+        elif roll < 0.25 and vecs:
+            src = rng.choice(vecs)
+            k = Fraction(rng.choice((1, 1, -1, 2, -3)), rng.choice((1, 1, 2)))
+            vecs.append([k * x for x in src])
+        elif rational:
+            vecs.append([
+                Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)
+            ])
+        else:
+            vecs.append(
+                [Fraction(rng.choice((0, 0, 1, -1, 2, -2, 3, -4))) for _ in range(n)]
+            )
+    if not rational:
+        vecs = [[int(x) for x in v] for v in vecs]
+    return vecs
+
+
+def test_circuits_digest():
+    # pins the exact circuits output (supports, coefficients, order) on
+    # 3,000 seeded families: m 0-9, n 1-5, integer and Fraction entries,
+    # zero vectors, repeated and parallel vectors
+    rng = random.Random(8191)
+    outputs = []
+    for _ in range(3000):
+        vecs = _digest_family(rng)
+        outputs.append([(c.support, c.coeffs) for c in circuits(vecs)])
+    assert sum(len(o) for o in outputs) == 24569
+    assert (
+        hashlib.sha256(repr(outputs).encode()).hexdigest()
+        == "70117e4430f485a76f48452945f22d8842a3709bcc9592ef2cc91d1bc3de35b3"
+    )
