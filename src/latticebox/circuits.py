@@ -5,16 +5,22 @@ coprime coefficients; each circuit support carries exactly one primitive
 relation up to a global sign. The prime set of a family collects every
 prime dividing some circuit coefficient; it controls which denominators
 the restricted-ring solver may use.
+
+Circuits are found by a depth-first walk over the independent subsets of
+the family, taken in increasing index order, with fraction-free integer
+elimination (no Fraction arithmetic). Each step reduces a vector against
+the rows already chosen by one integer row operation, so a node costs one
+row operation per remaining candidate. A dependent set is never extended:
+its supersets hold no new circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
-from .arith import PrimeSet, factorize, parse_rational, rref
+from .arith import PrimeSet, factorize, parse_rational
 from .errors import DimensionError, ResourceLimitError
 
 MAX_FAMILY_SIZE = 20
@@ -44,61 +50,108 @@ def _as_fraction_rows(vectors) -> list[list[Fraction]]:
     return rows
 
 
-def _kernel_if_one_dimensional(columns: list[list[Fraction]]):
-    """The kernel vector when the column kernel has dimension exactly 1."""
-    k = len(columns)
-    n = len(columns[0]) if columns else 0
-    mat, pivots = rref([[col[i] for col in columns] for i in range(n)], k)
-    if k - len(pivots) != 1:
-        return None
-    free = next(c for c in range(k) if c not in pivots)
-    vec = [Fraction(0)] * k
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -mat[r][free]
-    return vec
+def _pivot(row, n):
+    """The first nonzero column among the first n, or None."""
+    return next((c for c in range(n) if row[c]), None)
+
+
+def _eliminate(row, pivot_row, col):
+    """Clear row[col] with pivot_row by an integer row operation.
+
+    The result is divided by the gcd of all its entries, vector and
+    combination part together, so the integers stay small.
+    """
+    a, x = pivot_row[col], row[col]
+    g = gcd(a, x)
+    a, x = a // g, x // g
+    out = [a * u - x * v for u, v in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [u // g for u in out] if g > 1 else out
+
+
+def _extend(pending, at, n):
+    """The candidates after pending[at], reduced against its row.
+
+    A candidate whose row is already zero is dropped: the chosen set plus
+    it is dependent, so no circuit contains that set properly.
+    """
+    _, row, col = pending[at]
+    out = []
+    for k, r, c in pending[at + 1 :]:
+        if c is not None:
+            r = _eliminate(r, row, col)
+            out.append((k, r, _pivot(r, n)))
+    return out
 
 
 def circuits(vectors) -> list[Circuit]:
     """All circuits of the family, ordered by support.
 
-    Denominators are cleared per vector for the kernel computation and the
-    coefficients are mapped back to the original (possibly rational)
-    vectors before being made primitive. A subset is a circuit support
-    exactly when its kernel is one-dimensional and fully supported; circuit
-    supports have at most rank+1 elements, which provably bounds the
-    subset search. A zero vector yields the singleton relation 1·v = 0.
+    Each vector's denominators are cleared by the lcm of its entries'
+    denominators. The search runs on integer rows: the cleared vector
+    followed by a combination part, at first the unit vector of its index.
+
+    It is a depth-first walk over the independent sets S, each taken in
+    increasing index order. A node holds, for every candidate j > max(S),
+    j's row reduced against the rows of S's members, one integer row
+    operation per member; so each row is an integer combination of S and
+    j, and its combination part says which. When j's vector part is
+    nonzero, S + {j} is independent and the walk descends into it. When it
+    is zero, the combination part is the only relation on S + {j} up to
+    scale, as S is independent and j's coefficient is never zero. Then
+    S + {j} is a circuit exactly when every coefficient is nonzero: a zero
+    one leaves a dependent proper subset, and a dependent proper subset
+    would give a second relation. Dependent sets are never extended, as no
+    circuit contains one properly. Every circuit is found exactly once:
+    its sorted proper prefixes are independent, so the walk reaches the
+    longest of them once and tests the last index there.
+
+    The rank is the length of the walk's first, greedy branch, and both
+    family limits are checked before the walk. The relation is mapped back
+    to the original vectors by each vector's clearing scale, then made
+    primitive with the first coefficient positive. A zero vector yields
+    the singleton relation 1·v = 0.
     """
     rows = _as_fraction_rows(vectors)
     m = len(rows)
     if m > MAX_FAMILY_SIZE:
         raise ResourceLimitError(f"family size {m} exceeds {MAX_FAMILY_SIZE}")
     scales = [lcm(*(x.denominator for x in row)) if row else 1 for row in rows]
-    cleared = [
-        [int(x * s) for x in row] for row, s in zip(rows, scales)
-    ]
-    cols = [[Fraction(x) for x in row] for row in cleared]
-    rank = len(rref(cols, len(cols[0]))[1]) if cols else 0
+    n = len(rows[0]) if rows else 0
+    root = []
+    for j, (row, s) in enumerate(zip(rows, scales)):
+        r = [int(x * s) for x in row] + [int(i == j) for i in range(m)]
+        root.append((j, r, _pivot(r, n)))
+
+    rank = 0
+    pending = root
+    while True:
+        at = next((t for t, e in enumerate(pending) if e[2] is not None), None)
+        if at is None:
+            break
+        rank += 1
+        pending = _extend(pending, at, n)
     if rank > MAX_FAMILY_RANK:
         raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
+
     out = []
-    for size in range(1, min(m, rank + 1) + 1):
-        for subset in combinations(range(m), size):
-            kern = _kernel_if_one_dimensional([cols[i] for i in subset])
-            if kern is None or any(x == 0 for x in kern):
+
+    def walk(chosen, pending):
+        for at, (j, row, col) in enumerate(pending):
+            if col is not None:
+                walk(chosen + (j,), _extend(pending, at, n))
                 continue
-            # kernel of the cleared vectors; the relation on the originals
-            # picks up each vector's clearing factor.
-            raw = [x * scales[i] for x, i in zip(kern, subset)]
-            mult = lcm(*(x.denominator for x in raw))
-            ints = [int(x * mult) for x in raw]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            ints = [x // g for x in ints]
-            if ints[0] < 0:
-                ints = [-x for x in ints]
-            out.append(Circuit(subset, tuple(ints)))
+            support = chosen + (j,)
+            # the relation on the cleared vectors; on the originals each
+            # coefficient picks up its vector's clearing factor
+            raw = [row[n + i] * scales[i] for i in support]
+            if 0 in raw:
+                continue
+            g = gcd(*raw)
+            sign = -1 if raw[0] < 0 else 1
+            out.append(Circuit(support, tuple(sign * x // g for x in raw)))
+
+    walk((), root)
     out.sort(key=lambda c: c.support)
     return out
 

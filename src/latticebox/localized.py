@@ -368,12 +368,9 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
                     "residual target left the ring span after fixing a "
                     "ring coordinate"
                 )
+            kept = set(remaining)
             sub_primes = prime_set_of_circuits(
-                [
-                    c
-                    for c in inst.family_circuits
-                    if set(c.support) <= set(remaining)
-                ]
+                [c for c in inst.family_circuits if kept.issuperset(c.support)]
             )
             result[h] = cur[h]
             steps.append(
@@ -398,12 +395,9 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
         for i in active:
             if not in_qp(scaled[i], primes):
                 raise InconsistencyError("clearing factor failed")
+        live = set(active)
         circuit = next(
-            (
-                c
-                for c in inst.family_circuits
-                if set(c.support) <= set(active)
-            ),
+            (c for c in inst.family_circuits if live.issuperset(c.support)),
             None,
         )
         if circuit is None:

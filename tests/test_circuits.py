@@ -132,6 +132,32 @@ def test_circuits_match_brute_force():
         got = {c.support: c.coeffs for c in circuits(vecs)}
         assert got == brute_circuits(vecs)
 
+    # rational entries, zero vectors, and repeated or parallel vectors
+    for _ in range(150):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, 4)
+        vecs = []
+        for _ in range(m):
+            roll = rng.random()
+            if roll < 0.15:
+                vecs.append((Fraction(0),) * n)
+            elif roll < 0.35 and vecs:
+                k = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2)))
+                vecs.append(tuple(k * x for x in rng.choice(vecs)))
+            else:
+                vecs.append(tuple(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(n)
+                ))
+        got = {c.support: c.coeffs for c in circuits(vecs)}
+        assert got == brute_circuits(vecs)
+
+    # one generic 10 x 5 family: a circuit on every 6-subset
+    vecs = [tuple(rng.randint(-9, 9) for _ in range(5)) for _ in range(10)]
+    got = {c.support: c.coeffs for c in circuits(vecs)}
+    assert len(got) == 210
+    assert got == brute_circuits(vecs)
+
 
 def test_zero_vector_singleton():
     found = circuits([(0, 0), (1, 2)])
@@ -198,6 +224,11 @@ def test_prime_set_monotone_in_circuits():
 def test_family_limits():
     with pytest.raises(ResourceLimitError):
         circuits([(1,)] * 21)
+    # rank 9 is refused before any enumeration, even with 20 vectors
+    rng = random.Random(9)
+    generic = [[rng.randint(-9, 9) for _ in range(9)] for _ in range(20)]
+    with pytest.raises(ResourceLimitError, match="rank 9 exceeds 8"):
+        circuits(generic)
 
 
 def test_circuit_is_frozen_value():
