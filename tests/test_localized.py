@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +11,10 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from latticebox.arith import PrimeSet, in_qp, p_part
-from latticebox.circuits import prime_set
+from latticebox.circuits import circuits, prime_set
 from latticebox.errors import (
+    DimensionError,
+    LatticeBoxError,
     PreconditionError,
     RingMembershipError,
 )
@@ -22,6 +26,7 @@ from latticebox.localized import (
     rational_box_solve,
     refine_to_qp,
 )
+from latticebox.serialize import primes_to_json, rationals_to_json, trace_to_json
 
 F = Fraction
 
@@ -157,17 +162,42 @@ def _lexmin_key(order):
     return lambda x: [x[i] for i in order]
 
 
+def _degenerate_vectors(rng, n, m):
+    # rational entries, with a zero vector, a repeated vector or a parallel
+    # one (a rational multiple) in most families
+    vecs = [
+        [F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+        for _ in range(m)
+    ]
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        kind = rng.randrange(3)
+        if kind == 0:
+            vecs[j] = [F(0)] * n
+        elif kind == 1:
+            vecs[j] = list(vecs[i])
+        else:
+            c = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            vecs[j] = [c * a for a in vecs[i]]
+    return [tuple(v) for v in vecs]
+
+
 def test_rational_box_solve_is_lexmin_vertex():
     # rational_box_solve returns the vertex that is lexicographically least
-    # on the free (non-pivot) columns, taken last column first
+    # on the free (non-pivot) columns, taken last column first; that is
+    # also the vertex least by x_{m-1}, ..., x_0, as each pivot coordinate
+    # is fixed by the free coordinates to its right
     rng = random.Random(24007)
-    outcomes = set()
-    for _ in range(160):
+    outcomes = Counter()
+    for trial in range(400):
         n = rng.randint(1, 3)
         m = rng.randint(1, 6)
-        vecs = [
-            tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)
-        ]
+        if trial < 160:
+            vecs = [
+                tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)
+            ]
+        else:
+            vecs = _degenerate_vectors(rng, n, m)
         hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
         if rng.random() < 0.2:
             target = [F(rng.randint(-8, 8)) for _ in range(n)]
@@ -184,12 +214,14 @@ def test_rational_box_solve_is_lexmin_vertex():
         points = _brute_vertices(vecs, target, lower, upper)
         if not points:
             assert got is None
-            outcomes.add("infeasible")
+            outcomes["infeasible"] += 1
             continue
         free = _free_columns(vecs)
-        assert got == list(min(points, key=_lexmin_key(free[::-1])))
-        outcomes.add("solved")
-    assert outcomes == {"infeasible", "solved"}
+        least = min(points, key=_lexmin_key(free[::-1]))
+        assert got == list(least)
+        assert least == min(points, key=_lexmin_key(range(m - 1, -1, -1)))
+        outcomes["solved"] += 1
+    assert outcomes["infeasible"] > 0 and outcomes["solved"] > 100
 
 
 def test_integral_fallback_is_lexmin_vertex():
@@ -607,6 +639,33 @@ def test_near_integers_solve_large_families():
     assert cases["integral_fallback"] > 0 and cases["case1"] > 0
 
 
+_RAGGED = ([(1, 2), (3,)], (1, 1), (0, 0), (1, 1))
+_SHORT_BOUNDS = ([(1,), (2,)], (1,), (0,), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (QpBoxInstance.build, _RAGGED, "vector length differs"),
+        (rational_box_solve, _RAGGED, "vector length differs"),
+        (near_integers_solve, _RAGGED, "vector length differs"),
+        (qp_solve_exact, _RAGGED[:2] + (PrimeSet([2]),), "vector length differs"),
+        (QpBoxInstance.build, _SHORT_BOUNDS, "bound count differs"),
+        (rational_box_solve, _SHORT_BOUNDS, "bound count differs"),
+        (near_integers_solve, _SHORT_BOUNDS, "bound count differs"),
+    ],
+)
+def test_qp_entry_points_reject_shapes(call, args, message):
+    with pytest.raises(DimensionError, match=message):
+        call(*args)
+
+
+def test_refine_rejects_solution_length():
+    inst = QpBoxInstance.build([(2,), (3,)], (1,), (0, 0), (1, 1))
+    with pytest.raises(DimensionError, match="solution length differs"):
+        refine_to_qp(inst, (F(1, 2),))
+
+
 def test_near_integers_bounds_error():
     with pytest.raises(RingMembershipError):
         near_integers_solve([(2,)], (1,), (F(1, 5),), (1,))
@@ -639,3 +698,84 @@ def test_clearing_factor_property():
         sub = qp_solve_exact([vecs[i] for i in subset], target, primes)
         assert sub is not None
         checked += 1
+
+
+def _trace_families(rng, count):
+    # three kinds in turn: entries -4..4 with m 1-6, 0/+-1 entries, and
+    # m 4-9; a quarter repeat a vector, 3 in 10 move an integer point along
+    # a circuit (off the ring on its support, target still integral), 15%
+    # take a random target and 1 in 5 collapse one bound
+    for k in range(count):
+        if k % 3 == 0:
+            n, m = rng.randint(1, 3), rng.randint(1, 6)
+            vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        elif k % 3 == 1:
+            n, m = rng.randint(1, 3), rng.randint(1, 6)
+            vecs = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        else:
+            n, m = rng.randint(2, 4), rng.randint(4, 9)
+            vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.25:
+            i, j = rng.sample(range(m), 2)
+            vecs[j] = list(vecs[i])
+        hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+        if rng.random() < 0.3:
+            circs = circuits(vecs)
+            if circs:
+                c = rng.choice(circs)
+                t = F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(2, 7))
+                hidden = [F(rng.randint(-4, 4)) for _ in range(m)]
+                for i, a in zip(c.support, c.coeffs):
+                    hidden[i] += t * a
+        if rng.random() < 0.15:
+            target = [F(rng.randint(-8, 8)) for _ in range(n)]
+        else:
+            target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
+        lower = [floor(h) - rng.randint(0, 2) for h in hidden]
+        upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
+        if rng.random() < 0.2:
+            i = rng.randrange(m)
+            upper[i] = lower[i]
+        yield vecs, target, lower, upper, hidden
+
+
+def test_refinement_trace_digest():
+    # pins near_integers_solve's reason, solution, full trace JSON and
+    # prime set, and refine_to_qp from the hidden point whenever that point
+    # solves the system inside the box with the target in the ring span
+    digest = hashlib.sha256()
+    cases = Counter()
+    for vecs, target, lower, upper, hidden in _trace_families(
+        random.Random(24011), 2400
+    ):
+        try:
+            res = near_integers_solve(vecs, target, lower, upper)
+        except LatticeBoxError as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        record = {
+            "reason": res.reason,
+            "primes": primes_to_json(res.primes),
+            "solution": None if res.solution is None else rationals_to_json(res.solution),
+            "trace": None if res.trace is None else trace_to_json(res.trace),
+        }
+        inst = QpBoxInstance.build(vecs, target, lower, upper)
+        solves = all(
+            sum(h * v[j] for h, v in zip(hidden, vecs)) == target[j]
+            for j in range(len(target))
+        )
+        inside = all(a <= h <= b for a, h, b in zip(lower, hidden, upper))
+        if (
+            solves
+            and inside
+            and qp_solve_exact(inst.vectors, inst.target, inst.primes) is not None
+        ):
+            y, trace = refine_to_qp(inst, hidden)
+            record["hidden"] = [rationals_to_json(y), trace_to_json(trace)]
+            cases.update(s.case for s in trace.steps)
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert cases["case2"] >= 10
+    assert (
+        digest.hexdigest()
+        == "ec9beab70233c668c5df756c1e71c344191aea397a81fde35b699cc5f8b79062"
+    )
