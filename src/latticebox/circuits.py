@@ -162,9 +162,9 @@ def prime_set(vectors) -> PrimeSet:
 
 
 def prime_set_of_circuits(circuit_list) -> PrimeSet:
+    """Primes dividing some coefficient; each distinct value is factorized once."""
     primes: set[int] = set()
-    for c in circuit_list:
-        for x in c.coeffs:
-            if abs(x) > 1:
-                primes.update(factorize(x))
+    for x in {abs(x) for c in circuit_list for x in c.coeffs}:
+        if x > 1:
+            primes.update(factorize(x))
     return PrimeSet(primes)

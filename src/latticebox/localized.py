@@ -32,6 +32,26 @@ from .errors import (
 )
 
 
+def _parse(vectors, target, *bounds):
+    """The family, the target and each bound list as shape-checked Fractions."""
+    vecs = tuple(tuple(parse_rational(x) for x in v) for v in vectors)
+    w = tuple(parse_rational(x) for x in target)
+    parsed = tuple(tuple(parse_rational(x) for x in b) for b in bounds)
+    if any(len(v) != len(w) for v in vecs):
+        raise DimensionError("vector length differs from target length")
+    if any(len(b) != len(vecs) for b in parsed):
+        raise DimensionError("bound count differs from family size")
+    return (vecs, w, *parsed)
+
+
+def _solves(vectors, target, x) -> bool:
+    """Whether sum(x_i v_i) = target exactly."""
+    return all(
+        sum(xi * v[j] for xi, v in zip(x, vectors)) == t
+        for j, t in enumerate(target)
+    )
+
+
 @dataclass(frozen=True)
 class QpBoxInstance:
     """A box-constrained linear system with ring-compatible bounds."""
@@ -45,16 +65,7 @@ class QpBoxInstance:
 
     @classmethod
     def build(cls, vectors, target, lower, upper, primes=None) -> "QpBoxInstance":
-        vecs = tuple(tuple(parse_rational(x) for x in v) for v in vectors)
-        w = tuple(parse_rational(x) for x in target)
-        lo = tuple(parse_rational(x) for x in lower)
-        hi = tuple(parse_rational(x) for x in upper)
-        m = len(vecs)
-        for v in vecs:
-            if len(v) != len(w):
-                raise DimensionError("vector length differs from target length")
-        if len(lo) != m or len(hi) != m:
-            raise DimensionError("bound count differs from family size")
+        vecs, w, lo, hi = _parse(vectors, target, lower, upper)
         for a, b in zip(lo, hi):
             if a > b:
                 raise PreconditionError(f"empty bound interval [{a}, {b}]")
@@ -185,32 +196,22 @@ def _lexmin(vectors, target, lower, upper, order):
 def rational_box_solve(vectors, target, lower, upper):
     """A rational x with sum(x_i v_i) = target and lower <= x <= upper.
 
-    Returns the vertex that is lexicographically least on the free
-    (non-pivot) columns of the rref of the equalities, taken last column
-    first, or None when infeasible. The exact simplex of _lexmin finds it,
-    and Bland's rule makes it terminate.
+    Returns the vertex that is lexicographically least with x_{m-1}
+    first, down to x_0, or None when infeasible. The exact simplex of
+    _lexmin finds it, and Bland's rule makes it terminate. It is also the
+    vertex least on the free (non-pivot) columns of the rref of the
+    equalities, taken last column first: a pivot row is zero left of its
+    pivot and in the other pivot columns, so each pivot coordinate is
+    fixed by the free coordinates to its right before its own turn comes.
     """
-    vecs = [[parse_rational(x) for x in v] for v in vectors]
-    w = [parse_rational(x) for x in target]
-    lo = [parse_rational(x) for x in lower]
-    hi = [parse_rational(x) for x in upper]
-    m = len(vecs)
-    n = len(w)
-    for v in vecs:
-        if len(v) != n:
-            raise DimensionError("vector length differs from target length")
-    if len(lo) != m or len(hi) != m:
-        raise DimensionError("bound count differs from family size")
+    vecs, w, lo, hi = _parse(vectors, target, lower, upper)
     if any(a > b for a, b in zip(lo, hi)):
         return None
-    pivots = rref([[v[j] for v in vecs] for j in range(n)], m)[1]
-    free = [c for c in range(m) if c not in pivots]
-    x = _lexmin(vecs, w, lo, hi, free[::-1])
+    x = _lexmin(vecs, w, lo, hi, range(len(vecs) - 1, -1, -1))
     if x is None:
         return None
-    for j in range(n):
-        if sum(x[i] * vecs[i][j] for i in range(m)) != w[j]:
-            raise InconsistencyError("simplex vertex lost the equalities")
+    if not _solves(vecs, w, x):
+        raise InconsistencyError("simplex vertex lost the equalities")
     if any(not (a <= xi <= b) for a, xi, b in zip(lo, x, hi)):
         raise InconsistencyError("simplex produced an out-of-box point")
     return x
@@ -230,14 +231,9 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     coordinates over B outside the ring, the case the precondition rules
     out.
     """
-    vecs = [[parse_rational(x) for x in v] for v in vectors]
-    w = [parse_rational(x) for x in target]
-    n = len(w)
-    for v in vecs:
-        if len(v) != n:
-            raise DimensionError("vector length differs from target length")
+    vecs, w = _parse(vectors, target)
     m = len(vecs)
-    mat, pivot_cols = rref([[v[j] for v in vecs] + [w[j]] for j in range(n)], m)
+    mat, pivot_cols = rref([[v[j] for v in vecs] + [t] for j, t in enumerate(w)], m)
     rank = len(pivot_cols)
     if any(row[m] != 0 for row in mat[rank:]):
         return None
@@ -279,10 +275,8 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
     xs = [parse_rational(v) for v in x]
     if len(xs) != inst.size:
         raise DimensionError("solution length differs from family size")
-    for j in range(len(inst.target)):
-        total = sum(xs[i] * inst.vectors[i][j] for i in range(inst.size))
-        if total != inst.target[j]:
-            raise PreconditionError("x does not solve the system")
+    if not _solves(inst.vectors, inst.target, xs):
+        raise PreconditionError("x does not solve the system")
     for a, xi, b in zip(inst.lower, xs, inst.upper):
         if not (a <= xi <= b):
             raise PreconditionError(f"coordinate {xi} is outside [{a}, {b}]")
@@ -298,10 +292,8 @@ def _refine(inst: QpBoxInstance, xs) -> tuple[tuple[Fraction, ...], RefinementTr
         y = _induct(inst, xs, steps)
     else:
         y = _integral_fallback(inst, steps)
-    for j in range(len(inst.target)):
-        total = sum(y[i] * inst.vectors[i][j] for i in range(inst.size))
-        if total != inst.target[j]:
-            raise InconsistencyError("refined point no longer solves the system")
+    if not _solves(inst.vectors, inst.target, y):
+        raise InconsistencyError("refined point no longer solves the system")
     for a, yi, b in zip(inst.lower, y, inst.upper):
         if not (a <= yi <= b):
             raise InconsistencyError("refined point left the box")
@@ -315,11 +307,18 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
     """The constructive induction over a nonempty prime set.
 
     Fixes one ring coordinate at a time (case1), or, when none is in the
-    ring, perturbs along a circuit until one is (case2).
+    ring, perturbs along a circuit until one is (case2). The family's
+    circuits are its one source of dependence facts: inside holds, in
+    support order, the family circuits whose support lies in the active
+    set. case1 drops those through the fixed index and case2 keeps the
+    active set, so the invariant holds at every step. A set is dependent
+    iff it contains a circuit, so the active subfamily is independent iff
+    inside is empty.
     """
     primes = inst.primes
     result: dict[int, Fraction] = {}
     active = list(range(inst.size))
+    inside = list(inst.family_circuits)
     w = list(inst.target)
     cur = dict(enumerate(xs))
 
@@ -340,8 +339,7 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
                 steps.append(RefineStep(case="base", pivot=i))
             break
 
-        rows = [inst.vectors[i] for i in active]
-        if len(rref(rows, len(inst.target))[1]) == len(active):
+        if not inside:
             # Independent subfamily: the coefficients are forced, and ring
             # span membership forces them into the ring.
             for i in active:
@@ -368,10 +366,8 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
                     "residual target left the ring span after fixing a "
                     "ring coordinate"
                 )
-            kept = set(remaining)
-            sub_primes = prime_set_of_circuits(
-                [c for c in inst.family_circuits if kept.issuperset(c.support)]
-            )
+            inside = [c for c in inside if h not in c.support]
+            sub_primes = prime_set_of_circuits(inside)
             result[h] = cur[h]
             steps.append(
                 RefineStep(
@@ -395,13 +391,7 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
         for i in active:
             if not in_qp(scaled[i], primes):
                 raise InconsistencyError("clearing factor failed")
-        live = set(active)
-        circuit = next(
-            (c for c in inst.family_circuits if live.issuperset(c.support)),
-            None,
-        )
-        if circuit is None:
-            raise InconsistencyError("dependent subfamily has no circuit")
+        circuit = inside[0]
         coeff = dict(zip(circuit.support, circuit.coeffs))
         h = circuit.support[0]
         r_lo = None
