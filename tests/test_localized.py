@@ -756,7 +756,9 @@ def test_refinement_trace_digest():
         record = {
             "reason": res.reason,
             "primes": primes_to_json(res.primes),
-            "solution": None if res.solution is None else rationals_to_json(res.solution),
+            "solution": (
+                None if res.solution is None else rationals_to_json(res.solution)
+            ),
             "trace": None if res.trace is None else trace_to_json(res.trace),
         }
         inst = QpBoxInstance.build(vecs, target, lower, upper)
