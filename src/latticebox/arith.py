@@ -174,7 +174,12 @@ def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a JSON-style number: int, "p", or "p/q" (exact, reduced)."""
+    """Parse a JSON-style number: int, "p", or "p/q" (exact, reduced).
+
+    A Fraction comes back as it is: Fractions are immutable and reduced.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import serialize
 from .certificates import (
+    DEFAULT_ORACLE_CAP,
     brute_force_solve,
     feasible_by_certificates,
     generate_certificates,
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="cert" if name == "feasible" else "recursive",
         )
     p = add("oracle", "brute-force scan of the box")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     add("circuits", "elementary relations and the prime set of a family")
     add("qpsolve", "restricted-denominator box solving")
 
@@ -117,24 +118,16 @@ def _cmd_feasible(data, method: str) -> dict:
     return {"feasible": verdict}
 
 
-def _cmd_solve(data, method: str) -> dict:
+def _cmd_solve(data, method: str, cap: int = DEFAULT_ORACLE_CAP) -> dict:
     lat, box = _lattice_box(data)
     if method == "oracle":
-        witness = brute_force_solve(lat, box)
+        witness = brute_force_solve(lat, box, cap=cap)
     else:
         chain = _need_chain(lat)
         if method == "cert":
             if not feasible_by_certificates(generate_certificates(chain), box):
                 return {"feasible": False}
         witness = solve_box(chain, box)
-    if witness is None:
-        return {"feasible": False}
-    return {"feasible": True, "witness": [str(x) for x in witness]}
-
-
-def _cmd_oracle(data, cap: int) -> dict:
-    lat, box = _lattice_box(data)
-    witness = brute_force_solve(lat, box, cap=cap)
     if witness is None:
         return {"feasible": False}
     return {"feasible": True, "witness": [str(x) for x in witness]}
@@ -277,7 +270,7 @@ def main(argv=None) -> int:
             elif args.command == "solve":
                 payload = _cmd_solve(data, args.method)
             elif args.command == "oracle":
-                payload = _cmd_oracle(data, args.cap)
+                payload = _cmd_solve(data, "oracle", args.cap)
             elif args.command == "circuits":
                 payload = _cmd_circuits(data)
             elif args.command == "qpsolve":

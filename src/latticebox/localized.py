@@ -14,6 +14,9 @@ remaining subfamily's prime set (and rescaling bounds to compensate) can
 push sub-instance bounds outside the shrunken ring and strand the
 recursion, while every inductive step only needs the circuit coefficients
 to stay invertible, which any superset of the family's primes guarantees.
+So the trace records no per-step prime set: the one of any step is the
+prime set of the vectors still active there, which the pivots already in
+the trace determine.
 """
 
 from __future__ import annotations
@@ -101,8 +104,6 @@ class RefineStep:
     circuit: Circuit | None = None
     shift: Fraction | None = None
     pivot_value: Fraction | None = None
-    sub_primes: PrimeSet | None = None
-    scale: int | None = None
 
 
 @dataclass(frozen=True)
@@ -367,17 +368,8 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
                     "ring coordinate"
                 )
             inside = [c for c in inside if h not in c.support]
-            sub_primes = prime_set_of_circuits(inside)
             result[h] = cur[h]
-            steps.append(
-                RefineStep(
-                    case="case1",
-                    pivot=h,
-                    pivot_value=cur[h],
-                    sub_primes=sub_primes,
-                    scale=1,
-                )
-            )
+            steps.append(RefineStep(case="case1", pivot=h, pivot_value=cur[h]))
             active = remaining
             w = w_next
             continue

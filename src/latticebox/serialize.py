@@ -138,10 +138,6 @@ def trace_to_json(trace: RefinementTrace) -> dict:
             entry["r"] = format_rational(s.shift)
         if s.pivot_value is not None:
             entry["pivot_value"] = format_rational(s.pivot_value)
-        if s.sub_primes is not None:
-            entry["sub_prime_set"] = primes_to_json(s.sub_primes)
-        if s.scale is not None:
-            entry["scale"] = str(s.scale)
         steps.append(entry)
     return {"steps": steps}
 

@@ -119,6 +119,8 @@ def test_rational_round_trip():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == -2
     assert parse_rational(5) == 5
+    f = Fraction(3, 4)
+    assert parse_rational(f) is f
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(-8, 2)) == "-4"
     with pytest.raises(ValueError):

@@ -779,5 +779,5 @@ def test_refinement_trace_digest():
     assert cases["case2"] >= 10
     assert (
         digest.hexdigest()
-        == "ec9beab70233c668c5df756c1e71c344191aea397a81fde35b699cc5f8b79062"
+        == "d8bf077666fbf627837c4b6efda21c41e1a24bc81fe7acb5765e0300c5d68953"
     )
