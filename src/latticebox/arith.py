@@ -3,13 +3,19 @@
 Sign-correct floor/ceiling division, trial-division factorization for
 desk-scale integers, membership tests for rings of rationals whose
 reduced denominators factor over a fixed finite set of primes, and exact
-Gauss-Jordan elimination over the rationals.
+elimination over the rationals.
+
+Every rational elimination goes through eliminate, one fraction-free
+integer row operation divided by its content (after Bareiss 1968): echelon,
+the circuit walk and the simplex basis exchange all call it. The Hermite
+form behind Lattice (lattice._echelon_rows) stays apart, as it needs
+unimodular row steps and eliminate scales the row it reduces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import ResourceLimitError
 
@@ -126,11 +132,7 @@ def in_qp(x, primes: PrimeSet) -> bool:
 
     Integers always qualify; with an empty prime set the ring is the integers.
     """
-    den = Fraction(x).denominator
-    for p in primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
+    return p_part(x, primes)[1] == 1
 
 
 def p_part(x, primes: PrimeSet) -> tuple[int, int]:
@@ -148,27 +150,46 @@ def p_part(x, primes: PrimeSet) -> tuple[int, int]:
     return smooth, den
 
 
-def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of Fraction rows, and its pivot columns.
+def eliminate(row, pivot_row, col):
+    """Clear row[col] with pivot_row by one integer row operation.
 
-    Only the first ncols columns are pivoted on, so columns beyond them (a
-    right-hand side) ride along. Pivot row r holds a 1 at pivots[r] and
-    every other row a 0 there; the input rows are not modified.
+    The result is |a|·row - sign(a)·x·pivot_row, with a = pivot_row[col] and
+    x = row[col] first divided by their gcd, then divided by the gcd of its
+    own entries: row keeps its sign, and the integers stay small.
     """
-    mat = [list(row) for row in rows]
+    a, x = pivot_row[col], row[col]
+    g = gcd(a, x) if a > 0 else -gcd(a, x)
+    a, x = a // g, x // g
+    out = [a * u - x * v for u, v in zip(row, pivot_row)]
+    g = gcd(*out)
+    return [u // g for u in out] if g > 1 else out
+
+
+def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan form of rational rows, and its pivot columns.
+
+    Each row is first cleared of denominators. Only the first ncols columns
+    are pivoted on, so columns beyond them (a right-hand side) ride along.
+    Pivot row r holds a positive entry at pivots[r] and every other row a 0
+    there; divided by that entry it is row r of the reduced row echelon
+    form. The input rows are not modified.
+    """
+    mat = []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (s // x.denominator) for x in row])
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        if mat[rank][col] < 0:
+            mat[rank] = [-u for u in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+            if r != rank and mat[r][col]:
+                mat[r] = eliminate(mat[r], mat[rank], col)
         pivots.append(col)
     return mat, pivots
 

@@ -9,9 +9,9 @@ the restricted-ring solver may use.
 Circuits are found by a depth-first walk over the independent subsets of
 the family, taken in increasing index order, with fraction-free integer
 elimination (no Fraction arithmetic). Each step reduces a vector against
-the rows already chosen by one integer row operation, so a node costs one
-row operation per remaining candidate. A dependent set is never extended:
-its supersets hold no new circuit.
+the rows already chosen by one integer row operation (arith.eliminate),
+so a node costs one row operation per remaining candidate. A dependent
+set is never extended: its supersets hold no new circuit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import PrimeSet, factorize, parse_rational
+from .arith import PrimeSet, echelon, eliminate, factorize, parse_rational
 from .errors import DimensionError, ResourceLimitError
 
 MAX_FAMILY_SIZE = 20
@@ -55,20 +55,6 @@ def _pivot(row, n):
     return next((c for c in range(n) if row[c]), None)
 
 
-def _eliminate(row, pivot_row, col):
-    """Clear row[col] with pivot_row by an integer row operation.
-
-    The result is divided by the gcd of all its entries, vector and
-    combination part together, so the integers stay small.
-    """
-    a, x = pivot_row[col], row[col]
-    g = gcd(a, x)
-    a, x = a // g, x // g
-    out = [a * u - x * v for u, v in zip(row, pivot_row)]
-    g = gcd(*out)
-    return [u // g for u in out] if g > 1 else out
-
-
 def _extend(pending, at, n):
     """The candidates after pending[at], reduced against its row.
 
@@ -79,7 +65,7 @@ def _extend(pending, at, n):
     out = []
     for k, r, c in pending[at + 1 :]:
         if c is not None:
-            r = _eliminate(r, row, col)
+            r = eliminate(r, row, col)
             out.append((k, r, _pivot(r, n)))
     return out
 
@@ -106,33 +92,25 @@ def circuits(vectors) -> list[Circuit]:
     its sorted proper prefixes are independent, so the walk reaches the
     longest of them once and tests the last index there.
 
-    The rank is the length of the walk's first, greedy branch, and both
-    family limits are checked before the walk. The relation is mapped back
-    to the original vectors by each vector's clearing scale, then made
-    primitive with the first coefficient positive. A zero vector yields
-    the singleton relation 1·v = 0.
+    Both family limits are checked before the walk, the rank by one
+    echelon pass. The relation is mapped back to the original vectors by
+    each vector's clearing scale, then made primitive with the first
+    coefficient positive. A zero vector yields the singleton relation
+    1·v = 0.
     """
     rows = _as_fraction_rows(vectors)
     m = len(rows)
     if m > MAX_FAMILY_SIZE:
         raise ResourceLimitError(f"family size {m} exceeds {MAX_FAMILY_SIZE}")
-    scales = [lcm(*(x.denominator for x in row)) if row else 1 for row in rows]
     n = len(rows[0]) if rows else 0
+    rank = len(echelon(rows, n)[1])
+    if rank > MAX_FAMILY_RANK:
+        raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
+    scales = [lcm(*(x.denominator for x in row)) if row else 1 for row in rows]
     root = []
     for j, (row, s) in enumerate(zip(rows, scales)):
         r = [int(x * s) for x in row] + [int(i == j) for i in range(m)]
         root.append((j, r, _pivot(r, n)))
-
-    rank = 0
-    pending = root
-    while True:
-        at = next((t for t, e in enumerate(pending) if e[2] is not None), None)
-        if at is None:
-            break
-        rank += 1
-        pending = _extend(pending, at, n)
-    if rank > MAX_FAMILY_RANK:
-        raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
 
     out = []
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .arith import PrimeSet, in_qp, p_part, parse_rational, rref
+from .arith import PrimeSet, echelon, eliminate, in_qp, p_part, parse_rational
 from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
@@ -116,8 +116,10 @@ def _lexmin(vectors, target, lower, upper, order):
 
     Minimizes x_k for each k in order, fixing x_k at its minimum before the
     next; returns None when the set is empty. This is an exact
-    bounded-variable simplex over Fraction. The rref of the equalities
-    gives the first basis, with every nonbasic variable at its lower bound.
+    bounded-variable simplex on integer rows, each scaled to a positive
+    basic entry that ratios and updates divide by; a basis exchange is one
+    arith.eliminate per row. The echelon form of the equalities gives the
+    first basis, with every nonbasic variable at its lower bound.
     Phase 1 widens the bounds of each basic variable that starts outside
     them to take in its start value, then drives those variables back one
     at a time; one that cannot get back proves the set empty, because the
@@ -127,14 +129,14 @@ def _lexmin(vectors, target, lower, upper, order):
     boxed, so no descent is unbounded.
     """
     m = len(vectors)
-    mat, basis = rref(
+    mat, basis = echelon(
         [[v[j] for v in vectors] + [t] for j, t in enumerate(target)], m
     )
-    if any(row[m] != 0 for row in mat[len(basis):]):
+    if any(row[m] for row in mat[len(basis):]):
         return None
     x = list(lower)
     for row, b in zip(mat, basis):
-        x[b] += row[m] - sum(a * xi for a, xi in zip(row, lower))
+        x[b] += (row[m] - sum(a * xi for a, xi in zip(row, lower))) / row[b]
     rows = [row[:m] for row in mat[: len(basis)]]
     where = {b: r for r, b in enumerate(basis)}
     lo = [min(a, xi) for a, xi in zip(lower, x)]
@@ -163,21 +165,21 @@ def _lexmin(vectors, target, lower, upper, order):
                 rate = -step * rows[r][j]
                 if rate == 0:
                     continue
-                room = ((hi[b] if rate > 0 else lo[b]) - x[b]) / rate
+                room = ((hi[b] if rate > 0 else lo[b]) - x[b]) * rows[r][b] / rate
                 if room < reach or (
                     room == reach and leave is not None and b < basis[leave]
                 ):
                     reach, leave = room, r
             x[j] += step * reach
             for r, b in enumerate(basis):
-                x[b] -= step * reach * rows[r][j]
+                x[b] -= step * reach * rows[r][j] / rows[r][b]
             if leave is None:
                 continue
-            prow = [a / rows[leave][j] for a in rows[leave]]
-            rows[leave] = prow
+            if rows[leave][j] < 0:
+                rows[leave] = [-a for a in rows[leave]]
             for r, row in enumerate(rows):
-                if r != leave and row[j] != 0:
-                    rows[r] = [a - row[j] * c for a, c in zip(row, prow)]
+                if r != leave and row[j]:
+                    rows[r] = eliminate(row, rows[leave], j)
             del where[basis[leave]]
             basis[leave] = j
             where[j] = leave
@@ -200,9 +202,9 @@ def rational_box_solve(vectors, target, lower, upper):
     Returns the vertex that is lexicographically least with x_{m-1}
     first, down to x_0, or None when infeasible. The exact simplex of
     _lexmin finds it, and Bland's rule makes it terminate. It is also the
-    vertex least on the free (non-pivot) columns of the rref of the
-    equalities, taken last column first: a pivot row is zero left of its
-    pivot and in the other pivot columns, so each pivot coordinate is
+    vertex least on the free (non-pivot) columns of the echelon form of
+    the equalities, taken last column first: a pivot row is zero left of
+    its pivot and in the other pivot columns, so each pivot coordinate is
     fixed by the free coordinates to its right before its own turn comes.
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
@@ -223,26 +225,25 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
 
     Precondition: primes contains every circuit prime of the family, as
     prime_set and QpBoxInstance.build give. Then the ring span is the ring
-    span of the pivot subfamily B of one rref pass: any other v_j forms a
-    circuit with part of B whose coefficient on v_j is a unit of the ring,
-    so v_j is a ring combination of B. The target is thus in the ring span
-    iff its unique coordinates over B lie in the ring; they are returned,
-    with 0 on the other vectors. Returns None when the target is outside
-    the ring span, and raises PreconditionError when some v_j has
+    span of the pivot subfamily B of one echelon pass: any other v_j forms
+    a circuit with part of B whose coefficient on v_j is a unit of the
+    ring, so v_j is a ring combination of B. The target is thus in the ring
+    span iff its unique coordinates over B lie in the ring; they are
+    returned, with 0 on the other vectors. Returns None when the target is
+    outside the ring span, and raises PreconditionError when some v_j has
     coordinates over B outside the ring, the case the precondition rules
     out.
     """
     vecs, w = _parse(vectors, target)
     m = len(vecs)
-    mat, pivot_cols = rref([[v[j] for v in vecs] + [t] for j, t in enumerate(w)], m)
-    rank = len(pivot_cols)
-    if any(row[m] != 0 for row in mat[rank:]):
+    mat, pivots = echelon([[v[j] for v in vecs] + [t] for j, t in enumerate(w)], m)
+    if any(row[m] for row in mat[len(pivots):]):
         return None
-    if not all(in_qp(a, primes) for row in mat[:rank] for a in row[:m]):
-        raise PreconditionError("prime set misses a circuit prime of the family")
     x = [Fraction(0)] * m
-    for row, col in zip(mat, pivot_cols):
-        x[col] = row[m]
+    for row, col in zip(mat, pivots):
+        if not all(in_qp(Fraction(a, row[col]), primes) for a in row[:m]):
+            raise PreconditionError("prime set misses a circuit prime of the family")
+        x[col] = Fraction(row[m], row[col])
     return x if all(in_qp(xi, primes) for xi in x) else None
 
 

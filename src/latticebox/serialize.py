@@ -32,16 +32,23 @@ def dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _array(data) -> list:
+    """data, checked to be a JSON array: a string would read per character."""
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON array, got {data!r}")
+    return data
+
+
 def lattice_from_json(data) -> Lattice:
     n = parse_int(data["ambient_dim"])
-    gens = [[parse_int(x) for x in row] for row in data["generators"]]
+    gens = [[parse_int(x) for x in _array(row)] for row in _array(data["generators"])]
     return Lattice(n, gens)
 
 
 def box_from_json(data) -> Box:
     return Box.of(
-        [parse_int(x) for x in data["lower"]],
-        [parse_int(x) for x in data["upper"]],
+        [parse_int(x) for x in _array(data["lower"])],
+        [parse_int(x) for x in _array(data["upper"])],
     )
 
 
@@ -119,7 +126,7 @@ def primes_to_json(primes: PrimeSet) -> list[str]:
 
 
 def primes_from_json(data) -> PrimeSet:
-    return PrimeSet(parse_int(p) for p in data)
+    return PrimeSet(parse_int(p) for p in _array(data))
 
 
 def trace_to_json(trace: RefinementTrace) -> dict:
@@ -143,7 +150,7 @@ def trace_to_json(trace: RefinementTrace) -> dict:
 
 
 def rationals_from_json(data) -> list:
-    return [parse_rational(x) for x in data]
+    return [parse_rational(x) for x in _array(data)]
 
 
 def rationals_to_json(values) -> list[str]:

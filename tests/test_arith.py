@@ -6,6 +6,8 @@ import pytest
 from latticebox.arith import (
     PrimeSet,
     ceil_div,
+    echelon,
+    eliminate,
     factorize,
     floor_div,
     format_rational,
@@ -13,9 +15,11 @@ from latticebox.arith import (
     is_prime,
     p_part,
     parse_rational,
-    rref,
 )
 from latticebox.errors import ResourceLimitError
+from rref_oracle import rref
+
+F = Fraction
 
 
 def test_floor_div_examples():
@@ -127,13 +131,68 @@ def test_rational_round_trip():
         parse_rational(None)
 
 
-def test_rref_carries_right_hand_side():
-    F = Fraction
+def test_echelon_carries_right_hand_side():
     rows = [[F(0), F(2), F(4), F(6)], [F(1), F(1), F(1), F(2)], [F(1), F(2), F(3), F(5)]]
-    mat, pivots = rref(rows, 3)
+    mat, pivots = echelon(rows, 3)
     assert pivots == [0, 1]
-    assert mat == [[1, 0, -1, -1], [0, 1, 2, 3], [0, 0, 0, 0]]
+    assert mat == [[1, 0, -1, -1], [0, 2, 4, 6], [0, 0, 0, 0]]
     assert rows[0] == [0, 2, 4, 6]  # input untouched
     # the last column is never a pivot, so an inconsistent row shows there
-    mat, pivots = rref([[F(1), F(1)], [F(0), F(1)]], 1)
+    mat, pivots = echelon([[F(1), F(1)], [F(0), F(1)]], 1)
     assert pivots == [0] and mat[1] == [0, 1]
+
+
+def _random_matrix(rng):
+    rows, width = rng.randint(0, 5), rng.randint(0, 6)
+    mat = [
+        [F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5))) for _ in range(width)]
+        for _ in range(rows)
+    ]
+    if rows and rng.random() < 0.3:
+        mat[rng.randrange(rows)] = [F(0)] * width
+    if width and rng.random() < 0.3:
+        col = rng.randrange(width)
+        for row in mat:
+            row[col] = F(0)
+    if rows > 1 and rng.random() < 0.3:
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        mat[rng.randrange(rows)] = [c * x for x in mat[rng.randrange(rows)]]
+    return mat, rng.randint(0, width)
+
+
+def test_echelon_matches_fraction_rref():
+    # pivot row r over its entry at pivots[r] is the rref row, and every
+    # entry is an int
+    rng = random.Random(1968)
+    for _ in range(5000):
+        mat, ncols = _random_matrix(rng)
+        got, pivots = echelon(mat, ncols)
+        want, want_pivots = rref(mat, ncols)
+        assert pivots == want_pivots
+        assert len(got) == len(mat)
+        assert all(type(a) is int for row in got for a in row)
+        for row, col, ref in zip(got, pivots, want):
+            assert row[col] > 0
+            assert [F(a, row[col]) for a in row] == ref
+        for row in got[len(pivots):]:
+            assert not any(row[:ncols])
+
+
+def test_eliminate_keeps_row_sign():
+    # a negative pivot entry must not flip the reduced row
+    assert eliminate([2, 3, 1], [0, -2, 4], 1) == [2, 0, 7]
+    rng = random.Random(1969)
+    for _ in range(500):
+        width = rng.randint(2, 6)
+        col = rng.randrange(width)
+        pivot_row = [rng.randint(-5, 5) for _ in range(width)]
+        pivot_row[col] = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        # the other pivot columns: zero in the pivot row
+        others = [c for c in range(width) if c != col and rng.random() < 0.5]
+        for c in others:
+            pivot_row[c] = 0
+        row = [rng.randint(-5, 5) for _ in range(width)]
+        out = eliminate(row, pivot_row, col)
+        assert out[col] == 0
+        for c in others:
+            assert (out[c] > 0) == (row[c] > 0) and (out[c] < 0) == (row[c] < 0)

@@ -175,6 +175,32 @@ def test_exit_code_malformed_input(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        (
+            "qpsolve",
+            {"vectors": ["2", "3"], "target": "1", "lower": "00", "upper": "11"},
+        ),
+        (
+            "solve",
+            {
+                "lattice": {"ambient_dim": 2, "generators": ["24", "08"]},
+                "box": {"lower": "00", "upper": "48"},
+            },
+        ),
+        ("circuits", {"vectors": "23"}),
+    ],
+)
+def test_string_in_place_of_array_is_malformed(tmp_path, command, payload):
+    # iterating a JSON string yields its characters, which would parse as
+    # a vector of one-digit numbers
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli([command, str(path)])
+    assert rc == 1 and out == "" and "JSON array" in err
+
+
 def test_exit_code_usage_error():
     rc, _, err = run_cli(["no-such-command"])
     assert rc == 1 and err

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from latticebox.arith import rref
 from latticebox.errors import DimensionError
 from latticebox.lattice import Lattice
+from rref_oracle import rref
 
 
 def rand_lattice(rng, n_max=4, entry=6):

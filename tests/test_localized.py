@@ -219,6 +219,8 @@ def test_rational_box_solve_is_lexmin_vertex():
         free = _free_columns(vecs)
         least = min(points, key=_lexmin_key(free[::-1]))
         assert got == list(least)
+        # 0.5 == F(1, 2), so equality alone would miss a float
+        assert all(type(xi) is F for xi in got)
         assert least == min(points, key=_lexmin_key(range(m - 1, -1, -1)))
         outcomes["solved"] += 1
     assert outcomes["infeasible"] > 0 and outcomes["solved"] > 100
@@ -247,6 +249,7 @@ def test_integral_fallback_is_lexmin_vertex():
         points = _brute_vertices(vecs, target, lower, upper)
         assert all(xi.denominator == 1 for x in points for xi in x)
         assert tuple(got) == min(points, key=_lexmin_key(range(m)))
+        assert all(type(xi) is F for xi in got)
         assert [s.case for s in steps] == ["integral_fallback"]
         done += 1
 
@@ -521,6 +524,7 @@ def test_refine_random_suite():
         x = rational_box_solve(vecs, target, lower, upper)
         assert x is not None
         inst, y, trace = refine_instance(vecs, target, lower, upper, x)
+        assert all(type(xi) is F for xi in x + list(y))
         # trace sanity: clearing factors coprime to the ring primes,
         # shifts inside the ring
         for step in trace.steps:
