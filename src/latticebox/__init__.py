@@ -43,8 +43,6 @@ from .certificates import (
 from .chains import (
     ChainCertificate,
     DivisorVector,
-    IndexMap,
-    SignPartition,
     certify,
     divisor_candidates,
     image_lattice,
@@ -88,7 +86,6 @@ __all__ = [
     "Expr",
     "FloorDiv",
     "InconsistencyError",
-    "IndexMap",
     "Lattice",
     "LatticeBoxError",
     "Lower",
@@ -101,7 +98,6 @@ __all__ = [
     "RefinementTrace",
     "ResourceLimitError",
     "RingMembershipError",
-    "SignPartition",
     "Upper",
     "ZeroLatticeError",
     "brute_force_solve",

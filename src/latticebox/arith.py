@@ -40,20 +40,12 @@ def ceil_div(a: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    top = isqrt(n)
-    while f <= top:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return n > 1
+    """Deterministic trial-division primality check.
+
+    Runs through factorize, so |n| beyond FACTOR_LIMIT raises
+    ResourceLimitError instead of dividing for hours.
+    """
+    return n >= 2 and factorize(n) == [n]
 
 
 def factorize(n: int) -> list[int]:
@@ -72,12 +64,14 @@ def factorize(n: int) -> list[int]:
         while n % p == 0:
             out.append(p)
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out.append(p)
-                n //= p
+    f, top = 5, isqrt(n)
+    while f <= top:
+        if n % f == 0 or n % (f + 2) == 0:
+            for p in (f, f + 2):
+                while n % p == 0:
+                    out.append(p)
+                    n //= p
+            top = isqrt(n)
         f += 6
     if n > 1:
         out.append(n)

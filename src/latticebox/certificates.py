@@ -29,7 +29,7 @@ from math import prod
 from operator import sub
 
 from .arith import ceil_div, floor_div
-from .chains import ChainCertificate, DivisorVector, IndexMap, map_point
+from .chains import ChainCertificate, DivisorVector, map_point
 from .errors import CapExceededError, DimensionError, InconsistencyError
 from .lattice import Lattice
 
@@ -174,19 +174,19 @@ def _multiplier_bounds(div: DivisorVector, lower, upper, floor, ceil) -> dict:
     """The sign rule: {i: (L_i, U_i)} over nonzero coordinates, positives first."""
     v = div.v
     bounds = {}
-    for i in div.partition.pos:
+    for i in div.pos:
         bounds[i] = (ceil(lower[i], v[i]), floor(upper[i], v[i]))
-    for i in div.partition.neg:
+    for i in div.neg:
         bounds[i] = (ceil(upper[i], v[i]), floor(lower[i], v[i]))
     return bounds
 
 
-def _reduced_bounds(bounds: dict, imap: IndexMap, lower, upper, diff):
+def _reduced_bounds(div: DivisorVector, bounds: dict, lower, upper, diff):
     """[L_i - U_j, U_i - L_j] per pair (i, j), then the zero coordinates."""
-    lowers = [diff(bounds[i][0], bounds[j][1]) for i, j in imap.pairs]
-    uppers = [diff(bounds[i][1], bounds[j][0]) for i, j in imap.pairs]
-    lowers += [lower[k] for k in imap.zeros]
-    uppers += [upper[k] for k in imap.zeros]
+    lowers = [diff(bounds[i][0], bounds[j][1]) for i, j in div.pairs]
+    uppers = [diff(bounds[i][1], bounds[j][0]) for i, j in div.pairs]
+    lowers += [lower[k] for k in div.zero]
+    uppers += [upper[k] for k in div.zero]
     return lowers, uppers
 
 
@@ -208,31 +208,28 @@ def rank1_certificates(div: DivisorVector) -> list[Expr]:
     b_k and -a_k. (The single difference b_k - a_k would accept boxes with
     0 < a_k <= b_k that contain no lattice point.)
     """
-    part = div.partition
     bounds = _symbolic_bounds(div)
     pairs = [
-        *product(part.pos, part.pos),
-        *product(part.neg, part.neg),
-        *product(part.pos, part.neg),
-        *((j, i) for i, j in product(part.pos, part.neg)),
+        *product(div.pos, div.pos),
+        *product(div.neg, div.neg),
+        *product(div.pos, div.neg),
+        *((j, i) for i, j in product(div.pos, div.neg)),
     ]
     out: list[Expr] = [Diff(bounds[j][1], bounds[i][0]) for i, j in pairs]
-    for k in part.zero:
+    for k in div.zero:
         out.append(Upper(k))
         out.append(Neg(Lower(k)))
     return out
 
 
-def reduced_bounds_exprs(
-    div: DivisorVector, imap: IndexMap
-) -> tuple[list[Expr], list[Expr]]:
+def reduced_bounds_exprs(div: DivisorVector) -> tuple[list[Expr], list[Expr]]:
     """Bound expressions for each reduced coordinate, as (lowers, uppers).
 
     For a pair coordinate (i, j) the interval [L_i - U_j, U_i - L_j] bounds
     the quotient difference y_i/v_i - y_j/v_j of any member that can be
     completed to a box point. Zero coordinates pass their bounds through.
     """
-    return _reduced_bounds(_symbolic_bounds(div), imap, *_leaves(div), Diff)
+    return _reduced_bounds(div, _symbolic_bounds(div), *_leaves(div), Diff)
 
 
 def generate_certificates(cert: ChainCertificate) -> CertificateSet:
@@ -249,7 +246,7 @@ def generate_certificates(cert: ChainCertificate) -> CertificateSet:
         exprs = rank1_certificates(cert.divisor)
         return CertificateSet(lat.ambient_dim, 1, tuple(exprs))
     child_set = generate_certificates(cert.child)
-    lowers, uppers = reduced_bounds_exprs(cert.divisor, cert.index_map)
+    lowers, uppers = reduced_bounds_exprs(cert.divisor)
     exprs = [substitute(e, lowers, uppers) for e in child_set.exprs]
     exprs.extend(Diff(hi, lo) for lo, hi in _symbolic_bounds(cert.divisor).values())
     return CertificateSet(lat.ambient_dim, child_set.rank + 1, tuple(exprs))
@@ -297,7 +294,7 @@ def solve_box(cert: ChainCertificate, box: Box):
     v = div.v
     a, b = box.lower, box.upper
     if cert.child is None:
-        for k in div.partition.zero:
+        for k in div.zero:
             if not (a[k] <= 0 <= b[k]):
                 return None
         lo, hi = _t_interval(div, a, b)
@@ -308,24 +305,23 @@ def solve_box(cert: ChainCertificate, box: Box):
     bounds = _multiplier_bounds(div, a, b, floor_div, ceil_div)
     if any(lo > hi for lo, hi in bounds.values()):
         return None
-    red_lo, red_hi = _reduced_bounds(bounds, cert.index_map, a, b, sub)
+    red_lo, red_hi = _reduced_bounds(div, bounds, a, b, sub)
     if any(lo > hi for lo, hi in zip(red_lo, red_hi)):
         return None
     z = solve_box(cert.child, Box.of(red_lo, red_hi))
     if z is None:
         return None
 
-    imap = cert.index_map
-    i0 = min(div.partition.pos + div.partition.neg)
+    i0 = min(div.pos + div.neg)
     y = [0] * lat.ambient_dim
-    for (i, j), zij in zip(imap.pairs, z):
+    for (i, j), zij in zip(div.pairs, z):
         if i == i0:
             y[j] = -zij * v[j]
-    for k, zk in zip(imap.zeros, z[len(imap.pairs):]):
+    for k, zk in zip(div.zero, z[len(div.pairs):]):
         y[k] = zk
-    if map_point(div, imap, y) != z or not lat.member(y):
+    if map_point(div, y) != z or not lat.member(y):
         raise InconsistencyError("child witness is outside the image lattice")
-    for k in div.partition.zero:
+    for k in div.zero:
         if not (a[k] <= y[k] <= b[k]):
             raise InconsistencyError("lifted point leaves the box on a zero coordinate")
     lo, hi = _t_interval(

@@ -21,60 +21,34 @@ DEFAULT_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
-class SignPartition:
-    """Indices of positive, negative, and zero coordinates of a vector."""
+class DivisorVector:
+    """A lattice member dividing every member at its nonzero coordinates.
 
+    pos, neg and zero index its positive, negative and zero coordinates,
+    ascending. They fix the layout of the reduced coordinates v induces:
+    pairs (i, j), i < j, of nonzero coordinates in lexicographic order, then
+    the zero coordinates in ascending order. No permutation of the ambient
+    coordinates ever happens; bookkeeping stays in original indices.
+    """
+
+    v: tuple[int, ...]
     pos: tuple[int, ...]
     neg: tuple[int, ...]
     zero: tuple[int, ...]
-
-    @classmethod
-    def of(cls, v) -> "SignPartition":
-        pos = tuple(i for i, x in enumerate(v) if x > 0)
-        neg = tuple(i for i, x in enumerate(v) if x < 0)
-        zero = tuple(i for i, x in enumerate(v) if x == 0)
-        return cls(pos, neg, zero)
-
-
-@dataclass(frozen=True)
-class DivisorVector:
-    """A lattice member dividing every member at its nonzero coordinates."""
-
-    v: tuple[int, ...]
-    partition: SignPartition
+    pairs: tuple[tuple[int, int], ...]
 
     @classmethod
     def of(cls, v) -> "DivisorVector":
         vec = tuple(int(x) for x in v)
         if not any(vec):
             raise ValueError("divisor vector must be nonzero")
-        return cls(vec, SignPartition.of(vec))
+        pos = tuple(i for i, x in enumerate(vec) if x > 0)
+        neg = tuple(i for i, x in enumerate(vec) if x < 0)
+        zero = tuple(i for i, x in enumerate(vec) if x == 0)
+        return cls(vec, pos, neg, zero, tuple(combinations(sorted(pos + neg), 2)))
 
 
-@dataclass(frozen=True)
-class IndexMap:
-    """Layout of the reduced coordinates induced by a divisor vector.
-
-    Pair coordinates come first, ordered lexicographically by the original
-    index pair (i, j), i < j, over the divisor's nonzero coordinates; the
-    zero coordinates follow in ascending order. No permutation of the
-    ambient coordinates ever happens; bookkeeping stays in original indices.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    zeros: tuple[int, ...]
-
-    @classmethod
-    def of(cls, partition: SignPartition) -> "IndexMap":
-        nonzero = tuple(sorted(partition.pos + partition.neg))
-        return cls(tuple(combinations(nonzero, 2)), tuple(sorted(partition.zero)))
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.pairs) + len(self.zeros)
-
-
-def map_point(div: DivisorVector, imap: IndexMap, t) -> tuple[int, ...]:
+def map_point(div: DivisorVector, t) -> tuple[int, ...]:
     """Image of t: quotient differences on pairs, passthrough on zeros.
 
     Requires v_i | t_i wherever v_i != 0; the output is then integral.
@@ -82,19 +56,19 @@ def map_point(div: DivisorVector, imap: IndexMap, t) -> tuple[int, ...]:
     vec = [int(x) for x in t]
     v = div.v
     ratios = {}
-    for i in div.partition.pos + div.partition.neg:
+    for i in div.pos + div.neg:
         if vec[i] % v[i] != 0:
             raise DivisibilityError(f"coordinate {i}: {v[i]} does not divide {vec[i]}")
         ratios[i] = vec[i] // v[i]
-    out = [ratios[i] - ratios[j] for i, j in imap.pairs]
-    out.extend(vec[k] for k in imap.zeros)
+    out = [ratios[i] - ratios[j] for i, j in div.pairs]
+    out.extend(vec[k] for k in div.zero)
     return tuple(out)
 
 
-def image_lattice(lat: Lattice, div: DivisorVector, imap: IndexMap) -> Lattice:
+def image_lattice(lat: Lattice, div: DivisorVector) -> Lattice:
     """Canonical lattice spanned by the images of the basis vectors."""
-    images = [map_point(div, imap, row) for row in lat.basis]
-    return Lattice(imap.output_dim, images)
+    images = [map_point(div, row) for row in lat.basis]
+    return Lattice(len(div.pairs) + len(div.zero), images)
 
 
 def divisor_candidates(lat: Lattice) -> list[DivisorVector]:
@@ -150,7 +124,6 @@ class ChainCertificate:
 
     lattice: Lattice
     divisor: DivisorVector
-    index_map: IndexMap
     child: "ChainCertificate | None"
 
     @property
@@ -170,15 +143,14 @@ def certify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM):
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
     for div in divisor_candidates(lat):
-        imap = IndexMap.of(div.partition)
-        image = image_lattice(lat, div, imap)
+        image = image_lattice(lat, div)
         if image.rank == 0:
-            return ChainCertificate(lat, div, imap, None)
+            return ChainCertificate(lat, div, None)
         if image.ambient_dim > max_dim:
             raise ResourceLimitError(
                 f"image dimension {image.ambient_dim} exceeds cap {max_dim}"
             )
         sub = certify(image, max_dim=max_dim)
         if sub is not None:
-            return ChainCertificate(lat, div, imap, sub)
+            return ChainCertificate(lat, div, sub)
     return None

@@ -72,23 +72,6 @@ def expr_to_json(expr: Expr) -> dict:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def expr_from_json(data) -> Expr:
-    op = data["op"]
-    if op == "a":
-        return Lower(parse_int(data["i"]) - 1)
-    if op == "b":
-        return Upper(parse_int(data["i"]) - 1)
-    if op == "neg":
-        return Neg(expr_from_json(data["arg"]))
-    if op == "floordiv":
-        return FloorDiv(expr_from_json(data["arg"]), parse_int(data["m"]))
-    if op == "ceildiv":
-        return CeilDiv(expr_from_json(data["arg"]), parse_int(data["m"]))
-    if op == "diff":
-        return Diff(expr_from_json(data["lhs"]), expr_from_json(data["rhs"]))
-    raise ValueError(f"unknown expression op: {op!r}")
-
-
 def certset_to_json(certs: CertificateSet) -> dict:
     return {
         "n": certs.ambient_dim,
@@ -97,19 +80,11 @@ def certset_to_json(certs: CertificateSet) -> dict:
     }
 
 
-def certset_from_json(data) -> CertificateSet:
-    return CertificateSet(
-        parse_int(data["n"]),
-        parse_int(data["rank"]),
-        tuple(expr_from_json(e) for e in data["exprs"]),
-    )
-
-
 def chain_to_json(cert: ChainCertificate) -> dict:
     return {
         "v": [str(x) for x in cert.divisor.v],
-        "pair_coords": [[i + 1, j + 1] for i, j in cert.index_map.pairs],
-        "zero_coords": [k + 1 for k in cert.index_map.zeros],
+        "pair_coords": [[i + 1, j + 1] for i, j in cert.divisor.pairs],
+        "zero_coords": [k + 1 for k in cert.divisor.zero],
         "child": chain_to_json(cert.child) if cert.child is not None else None,
     }
 

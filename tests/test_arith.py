@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from latticebox.arith import (
     PrimeSet,
@@ -78,7 +79,7 @@ def test_factorize_recombines():
         prod = 1
         for p in fs:
             prod *= p
-            assert is_prime(p)
+            assert sympy.isprime(p)
         assert prod == n
         assert fs == sorted(fs)
 
@@ -91,6 +92,11 @@ def test_prime_set_validation():
         PrimeSet([4])
     assert not PrimeSet()
     assert PrimeSet([2]).smallest == 2
+    # the check PrimeSet relies on, against an independent oracle
+    for n in [*range(-2, 20_001), *range(10**12 - 24, 10**12 + 1)]:
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ResourceLimitError):
+        is_prime(10**12 + 39)
 
 
 def test_in_qp_examples():

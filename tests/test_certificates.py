@@ -22,7 +22,7 @@ from latticebox.certificates import (
     solve_box,
     substitute,
 )
-from latticebox.chains import ChainCertificate, DivisorVector, IndexMap, certify
+from latticebox.chains import ChainCertificate, DivisorVector, certify
 from latticebox.errors import (
     CapExceededError,
     DimensionError,
@@ -114,15 +114,13 @@ def test_rank1_zero_coordinate_soundness():
 def test_reduced_bounds_examples():
     # both positive
     dv = DivisorVector.of((2, 4))
-    imap = IndexMap.of(dv.partition)
-    lowers, uppers = reduced_bounds_exprs(dv, imap)
+    lowers, uppers = reduced_bounds_exprs(dv)
     assert lowers == [Diff(CeilDiv(Lower(0), 2), FloorDiv(Upper(1), 4))]
     assert uppers == [Diff(FloorDiv(Upper(0), 2), CeilDiv(Lower(1), 4))]
 
     # mixed positive/negative with a zero passthrough
     dv = DivisorVector.of((1, 0, -1))
-    imap = IndexMap.of(dv.partition)
-    lowers, uppers = reduced_bounds_exprs(dv, imap)
+    lowers, uppers = reduced_bounds_exprs(dv)
     assert lowers == [
         Diff(CeilDiv(Lower(0), 1), FloorDiv(Lower(2), -1)),
         Lower(1),
@@ -134,15 +132,13 @@ def test_reduced_bounds_examples():
 
     # negative i, positive j
     dv = DivisorVector.of((-2, 4))
-    imap = IndexMap.of(dv.partition)
-    lowers, uppers = reduced_bounds_exprs(dv, imap)
+    lowers, uppers = reduced_bounds_exprs(dv)
     assert lowers == [Diff(CeilDiv(Upper(0), -2), FloorDiv(Upper(1), 4))]
     assert uppers == [Diff(FloorDiv(Lower(0), -2), CeilDiv(Lower(1), 4))]
 
     # both negative
     dv = DivisorVector.of((-2, -4))
-    imap = IndexMap.of(dv.partition)
-    lowers, uppers = reduced_bounds_exprs(dv, imap)
+    lowers, uppers = reduced_bounds_exprs(dv)
     assert lowers == [Diff(CeilDiv(Upper(0), -2), FloorDiv(Lower(1), -4))]
     assert uppers == [Diff(FloorDiv(Lower(0), -2), CeilDiv(Upper(1), -4))]
 
@@ -260,7 +256,7 @@ def test_solve_box_rejects_child_outside_image():
     # lift must refuse a child witness that no lattice member maps to
     lat = Lattice(2, [(2, 4), (0, 8)])
     c = certify(lat)
-    forged = ChainCertificate(lat, c.divisor, c.index_map, certify(Lattice(1, [(1,)])))
+    forged = ChainCertificate(lat, c.divisor, certify(Lattice(1, [(1,)])))
     with pytest.raises(InconsistencyError, match="outside the image lattice"):
         solve_box(forged, Box.of((0, 0), (2, 6)))
     assert solve_box(forged, Box.of((0, 0), (4, 8))) == (0, 8)

@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 
 from latticebox.chains import (
-    IndexMap,
-    SignPartition,
+    DivisorVector,
     certify,
     divisor_candidates,
     image_lattice,
@@ -95,26 +94,19 @@ def test_divisor_order_deterministic():
 def test_map_point_examples():
     lat = Lattice(2, [(2, 4), (0, 8)])
     dv = next(d for d in divisor_candidates(lat) if d.v == (2, 4))
-    imap = IndexMap.of(dv.partition)
-    assert map_point(dv, imap, (2, 4)) == (0,)
-    assert map_point(dv, imap, (0, 8)) == (-2,)
-
-    from latticebox.chains import DivisorVector
+    assert map_point(dv, (2, 4)) == (0,)
+    assert map_point(dv, (0, 8)) == (-2,)
 
     dv = DivisorVector.of((1, 0, -1))
-    imap = IndexMap.of(dv.partition)
-    assert imap.pairs == ((0, 2),)
-    assert imap.zeros == (1,)
-    assert map_point(dv, imap, (5, 7, -2)) == (3, 7)
+    assert dv.pairs == ((0, 2),)
+    assert dv.zero == (1,)
+    assert map_point(dv, (5, 7, -2)) == (3, 7)
 
 
 def test_map_point_divisibility_error():
-    from latticebox.chains import DivisorVector
-
     dv = DivisorVector.of((2, 4))
-    imap = IndexMap.of(dv.partition)
     with pytest.raises(DivisibilityError):
-        map_point(dv, imap, (1, 4))
+        map_point(dv, (1, 4))
 
 
 def test_map_point_linear_kernel_property():
@@ -128,7 +120,6 @@ def test_map_point_linear_kernel_property():
         if not cands:
             continue
         dv = cands[0]
-        imap = IndexMap.of(dv.partition)
         r = lat.rank
         c1 = [rng.randint(-3, 3) for _ in range(r)]
         c2 = [rng.randint(-3, 3) for _ in range(r)]
@@ -141,12 +132,10 @@ def test_map_point_linear_kernel_property():
 
         w1, w2 = member_of(c1), member_of(c2)
         both = [a + b for a, b in zip(w1, w2)]
-        img = [
-            a + b for a, b in zip(map_point(dv, imap, w1), map_point(dv, imap, w2))
-        ]
-        assert list(map_point(dv, imap, both)) == img
+        img = [a + b for a, b in zip(map_point(dv, w1), map_point(dv, w2))]
+        assert list(map_point(dv, both)) == img
         # kernel inside the lattice is exactly the divisor line
-        if not any(map_point(dv, imap, w1)):
+        if not any(map_point(dv, w1)):
             lam = None
             for i in range(lat.ambient_dim):
                 if dv.v[i] != 0:
@@ -159,18 +148,15 @@ def test_map_point_linear_kernel_property():
 def test_image_lattice_examples():
     lat = Lattice(2, [(2, 4), (0, 8)])
     dv = next(d for d in divisor_candidates(lat) if d.v == (2, 4))
-    imap = IndexMap.of(dv.partition)
-    assert image_lattice(lat, dv, imap) == Lattice(1, [(2,)])
+    assert image_lattice(lat, dv) == Lattice(1, [(2,)])
 
     single = Lattice(2, [(3, 5)])
     dv = divisor_candidates(single)[0]
-    imap = IndexMap.of(dv.partition)
-    assert image_lattice(single, dv, imap).rank == 0
+    assert image_lattice(single, dv).rank == 0
 
     full = Lattice(2, [(1, 0), (0, 1)])
     dv = next(d for d in divisor_candidates(full) if d.v == (1, 1))
-    imap = IndexMap.of(dv.partition)
-    assert image_lattice(full, dv, imap) == Lattice(1, [(1,)])
+    assert image_lattice(full, dv) == Lattice(1, [(1,)])
 
 
 def test_image_rank_drop_property():
@@ -181,8 +167,7 @@ def test_image_rank_drop_property():
         if lat.rank == 0:
             continue
         for dv in divisor_candidates(lat):
-            imap = IndexMap.of(dv.partition)
-            assert image_lattice(lat, dv, imap).rank == lat.rank - 1
+            assert image_lattice(lat, dv).rank == lat.rank - 1
         checked += 1
 
 
@@ -244,7 +229,6 @@ def test_certify_dimension_cap():
 
 
 def test_sign_partition():
-    part = SignPartition.of((2, -3, 0))
-    assert part.pos == (0,) and part.neg == (1,) and part.zero == (2,)
-    imap = IndexMap.of(part)
-    assert imap.output_dim == 1 + 1
+    dv = DivisorVector.of((2, -3, 0))
+    assert dv.pos == (0,) and dv.neg == (1,) and dv.zero == (2,)
+    assert dv.pairs == ((0, 1),)

@@ -288,15 +288,12 @@ def test_qpsolve_supplied_prime_set(tmp_path):
     rc, _, err = run_cli(["qpsolve", str(narrow)])
     assert rc == 1 and err
 
+    # 2^89 - 1 is prime, but proving it by trial division would take about
+    # 4·10^12 divisions; the factorization limit refuses it at once
+    huge = tmp_path / "huge.json"
+    base["prime_set"] = ["2", "3", "618970019642690137449562111"]
+    huge.write_text(json.dumps(base))
+    rc, out, err = run_cli(["qpsolve", str(huge)])
+    assert rc == 2 and out == ""
+    assert "error: factorize: |n| exceeds 1000000000000" in err
 
-def test_expr_json_round_trip():
-    rc, out, _ = run_cli(
-        ["certs", str(CORPUS / "instances" / "lattice_span_2408.json")]
-    )
-    assert rc == 0
-    data = json.loads(out)
-    from latticebox.serialize import certset_from_json, certset_to_json
-
-    certs = certset_from_json(data)
-    assert certset_to_json(certs) == data
-    assert data["rank"] == 2 and data["n"] == 2
