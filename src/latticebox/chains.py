@@ -11,8 +11,9 @@ lattice; chains drive certificate generation and witness extraction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import DivisibilityError, ResourceLimitError, ZeroLatticeError
 from .lattice import Lattice
@@ -71,47 +72,40 @@ def image_lattice(lat: Lattice, div: DivisorVector) -> Lattice:
     return Lattice(len(div.pairs) + len(div.zero), images)
 
 
-def divisor_candidates(lat: Lattice) -> list[DivisorVector]:
-    """All divisor vectors of lat, in a fixed deterministic order.
+def divisor_candidates(lat: Lattice) -> Iterator[DivisorVector]:
+    """The divisor vectors of lat, one at a time, in a fixed order.
 
     A member v divides everything iff each coordinate is either zero or has
     absolute value equal to the per-coordinate gcd d_i (v in the lattice
     forces d_i | v_i; dividing every member forces v_i | d_i). Candidates
     are therefore determined by their values on the pivot columns, each of
     which ranges over {+d, -d, 0}; that keeps the enumeration exponential
-    in the rank rather than in the support size. Ordering is lexicographic
-    over the nonzero-gcd coordinates with + before - before 0.
+    in the rank rather than in the support size. A depth-first walk fixes
+    row k's coefficient from the sign at pivot p_k and cuts a branch, with
+    its whole subtree, once that coefficient is not integral. Rows k.. of
+    the echelon basis vanish left of p_k, so the walk's + - 0 order is
+    lexicographic over the nonzero-gcd coordinates, + before - before 0.
     """
     if lat.rank == 0:
         raise ZeroLatticeError("zero lattice has no divisor vectors")
+    return _walk(lat)
+
+
+def _walk(lat: Lattice) -> Iterator[DivisorVector]:
     d = lat.projection_gcds()
-    n = lat.ambient_dim
-    nz = [i for i in range(n) if d[i] != 0]
-    found = []
-    for pattern in product((1, -1, 0), repeat=lat.rank):
-        coeffs = []
-        ok = True
-        for k, (row, p) in enumerate(zip(lat.basis, lat.pivots)):
-            acc = pattern[k] * d[p] - sum(
-                coeffs[j] * lat.basis[j][p] for j in range(k)
-            )
-            if acc % row[p] != 0:
-                ok = False
-                break
-            coeffs.append(acc // row[p])
-        if not ok:
+    # An explicit stack, so that no rank runs into the recursion limit.
+    stack = [(0, [0] * lat.ambient_dim)]
+    while stack:
+        k, v = stack.pop()
+        if k == lat.rank:
+            if any(v) and all(x == 0 or abs(x) == g for x, g in zip(v, d)):
+                yield DivisorVector.of(v)
             continue
-        v = [
-            sum(coeffs[k] * lat.basis[k][j] for k in range(lat.rank))
-            for j in range(n)
-        ]
-        if not any(v):
-            continue
-        if all(v[i] == 0 or abs(v[i]) == d[i] for i in range(n)):
-            found.append(v)
-    order = {1: 0, -1: 1, 0: 2}
-    found.sort(key=lambda v: tuple(order[(v[i] > 0) - (v[i] < 0)] for i in nz))
-    return [DivisorVector.of(v) for v in found]
+        row, p = lat.basis[k], lat.pivots[k]
+        for sign in (0, -1, 1):  # pushed in reverse: + is walked first
+            c, rem = divmod(sign * d[p] - v[p], row[p])
+            if rem == 0:
+                stack.append((k + 1, [x + c * y for x, y in zip(v, row)]))
 
 
 @dataclass(frozen=True)
@@ -134,23 +128,23 @@ class ChainCertificate:
 def certify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM):
     """Depth-first search for a divisor chain; None when no chain exists.
 
-    Candidates are tried in their deterministic order and the first fully
+    Candidates are tried as the walk finds them, and the first fully
     certifying choice wins, so output is reproducible. Recursion terminates
-    because the rank drops by one per level; the ambient dimension of the
-    images can grow, so levels beyond max_dim raise ResourceLimitError
-    rather than searching a blown-up space.
+    because the rank drops by one per level, and at rank 1 any candidate
+    empties the lattice. The ambient dimension of the images can grow; it
+    is read from the divisor (its pairs plus its zero coordinates), so a
+    level beyond max_dim raises ResourceLimitError before its image is
+    built rather than searching a blown-up space.
     """
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
     for div in divisor_candidates(lat):
-        image = image_lattice(lat, div)
-        if image.rank == 0:
+        if lat.rank == 1:
             return ChainCertificate(lat, div, None)
-        if image.ambient_dim > max_dim:
-            raise ResourceLimitError(
-                f"image dimension {image.ambient_dim} exceeds cap {max_dim}"
-            )
-        sub = certify(image, max_dim=max_dim)
+        dim = len(div.pairs) + len(div.zero)
+        if dim > max_dim:
+            raise ResourceLimitError(f"image dimension {dim} exceeds cap {max_dim}")
+        sub = certify(image_lattice(lat, div), max_dim=max_dim)
         if sub is not None:
             return ChainCertificate(lat, div, sub)
     return None

@@ -277,6 +277,9 @@ def main(argv=None) -> int:
                 payload = _cmd_qpsolve(data)
             else:  # pragma: no cover - argparse enforces the choices
                 raise _UsageError(f"unknown command {args.command}")
+        text = serialize.dumps(payload)
+        if getattr(args, "output", None):
+            Path(args.output).write_text(text)
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -294,10 +297,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = serialize.dumps(payload)
     sys.stdout.write(text)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
     return 0
 
 

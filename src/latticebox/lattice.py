@@ -24,6 +24,8 @@ def _echelon_rows(n: int, gens) -> list[list[int]]:
             mat.append(row)
     r = 0
     for col in range(n):
+        if r == len(mat):
+            break
         while True:
             nz = [i for i in range(r, len(mat)) if mat[i][col] != 0]
             if not nz:
@@ -50,8 +52,6 @@ def _echelon_rows(n: int, gens) -> list[list[int]]:
                 if q:
                     mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
             r += 1
-            if r == len(mat):
-                break
     return mat[:r]
 
 

@@ -64,6 +64,10 @@ def test_divisor_candidates_examples():
         (0, -1),
     ]
 
+    # candidates come lazily: the first of 3^12 - 1 sign patterns at once
+    identity = Lattice(12, [[int(i == j) for j in range(12)] for i in range(12)])
+    assert next(divisor_candidates(identity)).v == (1,) * 12
+
 
 def test_divisor_candidates_zero_lattice():
     with pytest.raises(ZeroLatticeError):
@@ -80,8 +84,15 @@ def test_divisor_candidates_match_brute_force():
         d = lat.projection_gcds()
         if any(di > 8 for di in d):
             continue
-        got = {dv.v for dv in divisor_candidates(lat)}
-        assert got == brute_divisors(lat)
+        got = [dv.v for dv in divisor_candidates(lat)]
+        # documented order: + before - before 0 on the nonzero-gcd coordinates
+        nz = [i for i, di in enumerate(d) if di]
+        order = {1: 0, -1: 1, 0: 2}
+
+        def key(v):
+            return tuple(order[(v[i] > 0) - (v[i] < 0)] for i in nz)
+
+        assert got == sorted(brute_divisors(lat), key=key)
         checked += 1
 
 
@@ -116,10 +127,9 @@ def test_map_point_linear_kernel_property():
         lat = rand_lattice(rng, n_max=3, entry=4)
         if lat.rank == 0:
             continue
-        cands = divisor_candidates(lat)
-        if not cands:
+        dv = next(divisor_candidates(lat), None)
+        if dv is None:
             continue
-        dv = cands[0]
         r = lat.rank
         c1 = [rng.randint(-3, 3) for _ in range(r)]
         c2 = [rng.randint(-3, 3) for _ in range(r)]
@@ -151,7 +161,7 @@ def test_image_lattice_examples():
     assert image_lattice(lat, dv) == Lattice(1, [(2,)])
 
     single = Lattice(2, [(3, 5)])
-    dv = divisor_candidates(single)[0]
+    dv = next(divisor_candidates(single))
     assert image_lattice(single, dv).rank == 0
 
     full = Lattice(2, [(1, 0), (0, 1)])
@@ -221,11 +231,22 @@ def test_certify_chain_length_equals_rank():
         certified += 1
 
 
-def test_certify_dimension_cap():
+def test_certify_dimension_cap(monkeypatch):
     # A wide rank-2 lattice with a dense divisor blows past a tiny cap.
     lat = Lattice(4, [(1, 1, 1, 1), (0, 2, 4, 8)])
     with pytest.raises(ResourceLimitError):
         certify(lat, max_dim=3)
+
+    # The cap is read from the divisor, before any image is built, and a
+    # rank-1 level needs no image at all.
+    def no_image(lat, div):
+        raise AssertionError("image_lattice called")
+
+    monkeypatch.setattr("latticebox.chains.image_lattice", no_image)
+    identity = Lattice(6, [[int(i == j) for j in range(6)] for i in range(6)])
+    with pytest.raises(ResourceLimitError, match="image dimension 15 exceeds cap 10"):
+        certify(identity, max_dim=10)
+    assert certify(Lattice(3, [(2, -3, 0)]), max_dim=1).chain_length == 1
 
 
 def test_sign_partition():

@@ -228,12 +228,32 @@ def test_exit_code_resource_limit(tmp_path):
     rc, _, err = run_cli(["oracle", str(big), "--cap", "100"])
     assert rc == 2 and err
 
+    # The first divisor of the 12 x 12 identity already breaks the cap.
+    identity = tmp_path / "identity.json"
+    identity.write_text(
+        json.dumps(
+            {
+                "ambient_dim": 12,
+                "generators": [[str(int(i == j)) for j in range(12)] for i in range(12)],
+            }
+        )
+    )
+    rc, out, err = run_cli(["certify", str(identity)])
+    assert rc == 2 and out == ""
+    assert "image dimension 66 exceeds cap 64" in err
+
 
 def test_zero_lattice_rejected(tmp_path):
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"ambient_dim": 2, "generators": [["0", "0"]]}))
     rc, _, _ = run_cli(["certify", str(zero)])
     assert rc == 1
+
+    # No generator: the echelon form stops before scanning 10^9 columns.
+    zero.write_text(json.dumps({"ambient_dim": 10**9, "generators": []}))
+    rc, out, err = run_cli(["certify", str(zero)])
+    assert rc == 1 and out == ""
+    assert "cannot certify the zero lattice" in err
 
 
 def test_output_flag_writes_file(tmp_path):
@@ -248,6 +268,18 @@ def test_output_flag_writes_file(tmp_path):
     )
     assert rc == 0
     assert out_path.read_text() == out
+
+    # A failed write is an input error, and leaves stdout empty.
+    rc, out, err = run_cli(
+        [
+            "certify",
+            str(CORPUS / "instances" / "lattice_span_2408.json"),
+            "--output",
+            str(tmp_path / "missing" / "x.json"),
+        ]
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_solve_methods_same_witness_validity():
