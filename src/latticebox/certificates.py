@@ -5,7 +5,9 @@ expressions in the 2n box bounds (a_1, b_1, ..., a_n, b_n), built from
 projections by negation, differences, and floor/ceiling division, whose
 simultaneous nonnegativity decides whether the lattice meets the box. The
 set depends only on the lattice, so it is generated once and reused across
-boxes. solve_box extracts an explicit witness by the same recursion.
+boxes. solve_box extracts an explicit witness by the same top-down
+recursion. As expressions, each bound is built once and shared by every
+certificate that uses it; serialization writes each one as a full tree.
 
 Everything rests on one sign rule. A divisor v pins the multiplier t of
 t·v inside the box [a, b] to [L_i, U_i] on each nonzero coordinate i:
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import sub
+from operator import index, sub
 
 from .arith import ceil_div, floor_div
 from .chains import ChainCertificate, DivisorVector, map_point
@@ -117,24 +119,6 @@ def expr_order(expr: Expr) -> int:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def substitute(expr: Expr, lowers: list[Expr], uppers: list[Expr]) -> Expr:
-    """Replace each Lower(i)/Upper(i) leaf with the given expressions."""
-    if isinstance(expr, Lower):
-        return lowers[expr.i]
-    if isinstance(expr, Upper):
-        return uppers[expr.i]
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.arg, lowers, uppers))
-    if isinstance(expr, (FloorDiv, CeilDiv)):
-        return type(expr)(substitute(expr.arg, lowers, uppers), expr.m)
-    if isinstance(expr, Diff):
-        return Diff(
-            substitute(expr.lhs, lowers, uppers),
-            substitute(expr.rhs, lowers, uppers),
-        )
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 @dataclass(frozen=True)
 class Box:
     """Integer bounds a_i <= x_i <= b_i."""
@@ -151,7 +135,8 @@ class Box:
 
     @classmethod
     def of(cls, lower, upper) -> "Box":
-        return cls(tuple(int(x) for x in lower), tuple(int(x) for x in upper))
+        """A box from integer bounds; floats and strings raise TypeError."""
+        return cls(tuple(map(index, lower)), tuple(map(index, upper)))
 
     @property
     def dim(self) -> int:
@@ -190,13 +175,29 @@ def _reduced_bounds(div: DivisorVector, bounds: dict, lower, upper, diff):
     return lowers, uppers
 
 
-def _leaves(div: DivisorVector) -> tuple[list[Expr], list[Expr]]:
-    n = len(div.v)
+def _leaves(n: int) -> tuple[list[Expr], list[Expr]]:
     return [Lower(i) for i in range(n)], [Upper(i) for i in range(n)]
 
 
-def _symbolic_bounds(div: DivisorVector) -> dict:
-    return _multiplier_bounds(div, *_leaves(div), FloorDiv, CeilDiv)
+def _certificates(div: DivisorVector, child, lower, upper) -> list[Expr]:
+    """Certificates of a chain level (child: the next, or None) over its inputs."""
+    bounds = _multiplier_bounds(div, lower, upper, FloorDiv, CeilDiv)
+    if child is None:
+        pairs = [
+            *product(div.pos, div.pos),
+            *product(div.neg, div.neg),
+            *product(div.pos, div.neg),
+            *((j, i) for i, j in product(div.pos, div.neg)),
+        ]
+        out: list[Expr] = [Diff(bounds[j][1], bounds[i][0]) for i, j in pairs]
+        for k in div.zero:
+            out.append(upper[k])
+            out.append(Neg(lower[k]))
+        return out
+    reduced = _reduced_bounds(div, bounds, lower, upper, Diff)
+    out = _certificates(child.divisor, child.child, *reduced)
+    out.extend(Diff(hi, lo) for lo, hi in bounds.values())
+    return out
 
 
 def rank1_certificates(div: DivisorVector) -> list[Expr]:
@@ -208,18 +209,7 @@ def rank1_certificates(div: DivisorVector) -> list[Expr]:
     b_k and -a_k. (The single difference b_k - a_k would accept boxes with
     0 < a_k <= b_k that contain no lattice point.)
     """
-    bounds = _symbolic_bounds(div)
-    pairs = [
-        *product(div.pos, div.pos),
-        *product(div.neg, div.neg),
-        *product(div.pos, div.neg),
-        *((j, i) for i, j in product(div.pos, div.neg)),
-    ]
-    out: list[Expr] = [Diff(bounds[j][1], bounds[i][0]) for i, j in pairs]
-    for k in div.zero:
-        out.append(Upper(k))
-        out.append(Neg(Lower(k)))
-    return out
+    return _certificates(div, None, *_leaves(len(div.v)))
 
 
 def reduced_bounds_exprs(div: DivisorVector) -> tuple[list[Expr], list[Expr]]:
@@ -229,27 +219,22 @@ def reduced_bounds_exprs(div: DivisorVector) -> tuple[list[Expr], list[Expr]]:
     the quotient difference y_i/v_i - y_j/v_j of any member that can be
     completed to a box point. Zero coordinates pass their bounds through.
     """
-    return _reduced_bounds(div, _symbolic_bounds(div), *_leaves(div), Diff)
+    lower, upper = _leaves(len(div.v))
+    bounds = _multiplier_bounds(div, lower, upper, FloorDiv, CeilDiv)
+    return _reduced_bounds(div, bounds, lower, upper, Diff)
 
 
 def generate_certificates(cert: ChainCertificate) -> CertificateSet:
     """Build the certificate set for a chain-certified lattice.
 
-    Rank 1 uses the closed family directly. Otherwise the child set is
-    generated for the image lattice and every child input leaf is replaced
-    by the matching reduced-bound expression (raising the division depth
-    by at most one), then the per-coordinate interval conditions for the
-    divisor are appended.
+    Top-down, as in solve_box: a level's reduced-bound expressions are the
+    child level's inputs (raising the division depth by at most one), and
+    its per-coordinate interval conditions follow the child's expressions;
+    rank 1 emits the closed family. Subexpressions are shared, not copied.
     """
     lat = cert.lattice
-    if cert.child is None:
-        exprs = rank1_certificates(cert.divisor)
-        return CertificateSet(lat.ambient_dim, 1, tuple(exprs))
-    child_set = generate_certificates(cert.child)
-    lowers, uppers = reduced_bounds_exprs(cert.divisor)
-    exprs = [substitute(e, lowers, uppers) for e in child_set.exprs]
-    exprs.extend(Diff(hi, lo) for lo, hi in _symbolic_bounds(cert.divisor).values())
-    return CertificateSet(lat.ambient_dim, child_set.rank + 1, tuple(exprs))
+    exprs = _certificates(cert.divisor, cert.child, *_leaves(lat.ambient_dim))
+    return CertificateSet(lat.ambient_dim, lat.rank, tuple(exprs))
 
 
 def feasible_by_certificates(certs: CertificateSet, box: Box) -> bool:

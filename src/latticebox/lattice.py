@@ -9,6 +9,7 @@ compare equal, and membership is read off the basis pivot by pivot.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 
 from .errors import DimensionError
 
@@ -17,7 +18,7 @@ def _echelon_rows(n: int, gens) -> list[list[int]]:
     """Canonical row echelon basis of the span of gens (rows of length n)."""
     mat = []
     for g in gens:
-        row = [int(x) for x in g]
+        row = list(map(index, g))
         if len(row) != n:
             raise DimensionError(f"generator of length {len(row)}, expected {n}")
         if any(row):
@@ -88,7 +89,7 @@ class Lattice:
         return f"Lattice({self.ambient_dim}, {[list(r) for r in self.basis]})"
 
     def _check_dim(self, w) -> list[int]:
-        vec = [int(x) for x in w]
+        vec = list(map(index, w))
         if len(vec) != self.ambient_dim:
             raise DimensionError(
                 f"vector of length {len(vec)}, expected {self.ambient_dim}"

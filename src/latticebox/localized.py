@@ -111,6 +111,16 @@ class RefinementTrace:
     steps: tuple[RefineStep, ...]
 
 
+def _echelon_system(vectors, target):
+    """(mat, pivots) of echelon on [v_0 ... v_{m-1} | target]; None if inconsistent."""
+    m = len(vectors)
+    rows = [[v[j] for v in vectors] + [t] for j, t in enumerate(target)]
+    mat, pivots = echelon(rows, m)
+    if any(row[m] for row in mat[len(pivots):]):
+        return None
+    return mat, pivots
+
+
 def _lexmin(vectors, target, lower, upper, order):
     """The lexicographic minimum of {x : sum(x_i v_i) = target, lower <= x <= upper}.
 
@@ -129,11 +139,10 @@ def _lexmin(vectors, target, lower, upper, order):
     boxed, so no descent is unbounded.
     """
     m = len(vectors)
-    mat, basis = echelon(
-        [[v[j] for v in vectors] + [t] for j, t in enumerate(target)], m
-    )
-    if any(row[m] for row in mat[len(basis):]):
+    system = _echelon_system(vectors, target)
+    if system is None:
         return None
+    mat, basis = system
     x = list(lower)
     for row, b in zip(mat, basis):
         x[b] += (row[m] - sum(a * xi for a, xi in zip(row, lower))) / row[b]
@@ -236,9 +245,10 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     """
     vecs, w = _parse(vectors, target)
     m = len(vecs)
-    mat, pivots = echelon([[v[j] for v in vecs] + [t] for j, t in enumerate(w)], m)
-    if any(row[m] for row in mat[len(pivots):]):
+    system = _echelon_system(vecs, w)
+    if system is None:
         return None
+    mat, pivots = system
     x = [Fraction(0)] * m
     for row, col in zip(mat, pivots):
         if not all(in_qp(Fraction(a, row[col]), primes) for a in row[:m]):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from latticebox.certificates import (
     Box,
     CeilDiv,
     Diff,
+    Expr,
     FloorDiv,
     Lower,
     Neg,
@@ -20,7 +22,6 @@ from latticebox.certificates import (
     rank1_certificates,
     reduced_bounds_exprs,
     solve_box,
-    substitute,
 )
 from latticebox.chains import ChainCertificate, DivisorVector, certify
 from latticebox.errors import (
@@ -50,6 +51,11 @@ def test_box_validation():
     with pytest.raises(DimensionError):
         Box.of((1,), (2, 3))
     assert Box.of((0, 0), (1, 2)).point_count() == 6
+    # [0.5, 0.9] holds no integer; truncating it to [0, 0] would make the
+    # box feasible for every lattice
+    for lower, upper in (((0.5,), (0.9,)), (("0",), ("1",)), ((Fraction(1),), (2,))):
+        with pytest.raises(TypeError):
+            Box.of(lower, upper)
 
 
 def test_evaluate_examples():
@@ -181,6 +187,35 @@ def _near_point_box(rng, lat):
     return Box.of(lower, [lo + rng.choice((0, 1, 2, 3)) for lo in lower])
 
 
+def _nodes(expr, seen):
+    """Tree size of expr; records every node object reached in seen, by id."""
+    seen[id(expr)] = expr
+    return 1 + sum(
+        _nodes(getattr(expr, f.name), seen)
+        for f in fields(expr)
+        if isinstance(getattr(expr, f.name), Expr)
+    )
+
+
+def test_reference_anchor():
+    # the reference lattice of the benchmark: the sizes of its set and the
+    # bytes of its certs output are pinned; the top-down build holds each
+    # structurally distinct subexpression as exactly one object
+    lat = Lattice(4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    certs = generate_certificates(certify(lat))
+    seen = {}
+    assert len(certs.exprs) == 607
+    assert sum(_nodes(e, seen) for e in certs.exprs) == 31594
+    assert len(set(seen.values())) == 778
+    assert len(seen) == 778
+    text = dumps(certset_to_json(certs)).encode()
+    assert len(text) == 2993578
+    assert (
+        hashlib.sha256(text).hexdigest()
+        == "ef05fa41860c34f26dbb49c00890f53f2a011062bcd0f5ec1a9e14cb5dde966d"
+    )
+
+
 def test_solve_box_witness_digest():
     # pins the exact witnesses solve_box picks: seeded in-class chains of
     # every rank 1-4, each on small boxes and on boxes near lattice points
@@ -261,19 +296,13 @@ def test_solve_box_rejects_child_outside_image():
         solve_box(forged, Box.of((0, 0), (2, 6)))
     assert solve_box(forged, Box.of((0, 0), (4, 8))) == (0, 8)
 
-def test_substitute_round_trip():
-    e = Diff(FloorDiv(Upper(0), 2), CeilDiv(Lower(1), -3))
-    out = substitute(e, [Lower(5), Lower(6)], [Upper(5), Upper(6)])
-    assert out == Diff(FloorDiv(Upper(5), 2), CeilDiv(Lower(6), -3))
-
-
 def test_generate_certificates_rank2():
     lat = Lattice(2, [(2, 4), (0, 8)])
     chain = certify(lat)
     certs = generate_certificates(chain)
     assert certs.rank == 2
     assert certs.ambient_dim == 2
-    assert len(certs.exprs) == 3  # substituted child family + two diagonals
+    assert len(certs.exprs) == 3  # rank-1 family on the reduced bounds + two diagonals
     assert max(expr_order(e) for e in certs.exprs) == 2
 
 

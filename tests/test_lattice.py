@@ -30,6 +30,15 @@ def test_from_generators_dimension_check():
         Lattice(2, [(1, 2, 3)])
 
 
+def test_refuses_non_integers():
+    # int() would truncate 1.5 to 1 (making the lattice Z) and parse "3"
+    for gens in ([(1.5,)], [("3",)], [(Fraction(2),)]):
+        with pytest.raises(TypeError):
+            Lattice(1, gens)
+    with pytest.raises(TypeError):
+        Lattice(1, [(1,)]).member((1.5,))
+
+
 def test_canonical_idempotent():
     rng = random.Random(3)
     for _ in range(200):

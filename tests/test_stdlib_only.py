@@ -22,3 +22,9 @@ def test_runtime_imports_are_standard_library():
                     outside.append(f"{path.name}: {name}")
     assert list(SRC.glob("*.py"))
     assert outside == []
+
+
+def test_modules_parse_at_the_python_floor():
+    # requires-python is >=3.10: no module may use later syntax
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
