@@ -92,9 +92,9 @@ class Diff(Expr):
 def evaluate(expr: Expr, a, b) -> int:
     """Exact recursive evaluation at lower bounds a and upper bounds b."""
     if isinstance(expr, Lower):
-        return int(a[expr.i])
+        return index(a[expr.i])
     if isinstance(expr, Upper):
-        return int(b[expr.i])
+        return index(b[expr.i])
     if isinstance(expr, Neg):
         return -evaluate(expr.arg, a, b)
     if isinstance(expr, FloorDiv):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
 from .errors import DivisibilityError, ResourceLimitError, ZeroLatticeError
 from .lattice import Lattice
@@ -40,7 +41,7 @@ class DivisorVector:
 
     @classmethod
     def of(cls, v) -> "DivisorVector":
-        vec = tuple(int(x) for x in v)
+        vec = tuple(index(x) for x in v)
         if not any(vec):
             raise ValueError("divisor vector must be nonzero")
         pos = tuple(i for i, x in enumerate(vec) if x > 0)
@@ -54,7 +55,7 @@ def map_point(div: DivisorVector, t) -> tuple[int, ...]:
 
     Requires v_i | t_i wherever v_i != 0; the output is then integral.
     """
-    vec = [int(x) for x in t]
+    vec = [index(x) for x in t]
     v = div.v
     ratios = {}
     for i in div.pos + div.neg:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 
 from .arith import PrimeSet, echelon, eliminate, in_qp, p_part, parse_rational
 from .circuits import Circuit, circuits, prime_set_of_circuits
@@ -121,11 +121,12 @@ def _echelon_system(vectors, target):
     return mat, pivots
 
 
-def _lexmin(vectors, target, lower, upper, order):
+def _lexmin(system, lower, upper, order):
     """The lexicographic minimum of {x : sum(x_i v_i) = target, lower <= x <= upper}.
 
-    Minimizes x_k for each k in order, fixing x_k at its minimum before the
-    next; returns None when the set is empty. This is an exact
+    system is _echelon_system(vectors, target), consistent; it is not
+    modified. Minimizes x_k for each k in order, fixing x_k at its minimum
+    before the next; returns None when the set is empty. This is an exact
     bounded-variable simplex on integer rows, each scaled to a positive
     basic entry that ratios and updates divide by; a basis exchange is one
     arith.eliminate per row. The echelon form of the equalities gives the
@@ -138,11 +139,9 @@ def _lexmin(vectors, target, lower, upper, order):
     no basis repeats and every descent ends (Bland 1977). Every variable is
     boxed, so no descent is unbounded.
     """
-    m = len(vectors)
-    system = _echelon_system(vectors, target)
-    if system is None:
-        return None
-    mat, basis = system
+    m = len(lower)
+    mat, pivots = system
+    basis = list(pivots)
     x = list(lower)
     for row, b in zip(mat, basis):
         x[b] += (row[m] - sum(a * xi for a, xi in zip(row, lower))) / row[b]
@@ -153,7 +152,7 @@ def _lexmin(vectors, target, lower, upper, order):
 
     def descend(k, sign, goal):
         # Pivot until sign·x_k <= sign·goal or no move lowers sign·x_k.
-        while sign * (x[k] - goal) > 0:
+        while x[k] > goal if sign > 0 else x[k] < goal:
             if k in where:
                 grad = [-sign * a for a in rows[where[k]]]
             else:
@@ -196,7 +195,7 @@ def _lexmin(vectors, target, lower, upper, order):
     for k in range(m):
         for sign, bound in ((1, upper[k]), (-1, lower[k])):
             descend(k, sign, bound)
-            if sign * (x[k] - bound) > 0:
+            if x[k] > bound if sign > 0 else x[k] < bound:
                 return None
         lo[k], hi[k] = lower[k], upper[k]
     for k in order:
@@ -217,9 +216,14 @@ def rational_box_solve(vectors, target, lower, upper):
     fixed by the free coordinates to its right before its own turn comes.
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
-    if any(a > b for a, b in zip(lo, hi)):
+    return _box_solve(vecs, w, lo, hi, _echelon_system(vecs, w))
+
+
+def _box_solve(vecs, w, lo, hi, system):
+    """rational_box_solve on parsed input and its _echelon_system."""
+    if system is None or any(a > b for a, b in zip(lo, hi)):
         return None
-    x = _lexmin(vecs, w, lo, hi, range(len(vecs) - 1, -1, -1))
+    x = _lexmin(system, lo, hi, range(len(vecs) - 1, -1, -1))
     if x is None:
         return None
     if not _solves(vecs, w, x):
@@ -241,23 +245,80 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     returned, with 0 on the other vectors. Returns None when the target is
     outside the ring span, and raises PreconditionError when some v_j has
     coordinates over B outside the ring, the case the precondition rules
-    out.
+    out. _rhs_in_ring makes both ring tests on the integer echelon rows;
+    _induct keeps those rows through its steps and repeats only the tests.
     """
     vecs, w = _parse(vectors, target)
-    m = len(vecs)
-    system = _echelon_system(vecs, w)
+    return _ring_coordinates(_echelon_system(vecs, w), len(vecs), primes)
+
+
+def _ring_coordinates(system, m, primes):
+    """qp_solve_exact on the _echelon_system of a family of m vectors."""
     if system is None:
         return None
     mat, pivots = system
+    if not _rhs_in_ring(mat, pivots, m, primes):
+        return None
     x = [Fraction(0)] * m
     for row, col in zip(mat, pivots):
-        if not all(in_qp(Fraction(a, row[col]), primes) for a in row[:m]):
-            raise PreconditionError("prime set misses a circuit prime of the family")
         x[col] = Fraction(row[m], row[col])
-    return x if all(in_qp(xi, primes) for xi in x) else None
+    return x
 
 
-def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
+def _rhs_in_ring(rows, pivots, m, primes) -> bool:
+    """Whether the right-hand side of echelon rows has ring coordinates.
+
+    rows pairs with pivots as _echelon_system gives them, each row m
+    entries wide plus the right-hand side. Divided by its pivot entry c, a
+    row is a row of the reduced echelon form, and a/c is in the ring iff
+    the part of c coprime to the primes divides a. Every entry is tested
+    before any right-hand side: an entry outside the ring raises
+    PreconditionError, as the prime set then misses a circuit prime.
+    """
+    parts = [primes.coprime_part(row[col]) for row, col in zip(rows, pivots)]
+    for row, u in zip(rows, parts):
+        if u > 1 and any(a % u for a in row[:m]):
+            raise PreconditionError("prime set misses a circuit prime of the family")
+    return not any(row[m] % u for row, u in zip(rows, parts))
+
+
+def _fix_column(rows, pivots, h, value) -> bool:
+    """Fix coordinate h at value in echelon rows of [v_0 ... v_{m-1} | w].
+
+    Folds value times column h into the right-hand side and zeroes the
+    column, so the rows become the echelon rows of the family without v_h
+    and the target w - value·v_h. If h was a pivot, its row pivots on its
+    first nonzero column, the one a fresh echelon pass picks: that column
+    is spanned by the earlier ones only with v_h. With no such column the
+    row leaves; False then means its right-hand side is nonzero, so the new
+    target is outside the span. rows and pivots are updated in place.
+    """
+    num, den = value.numerator, value.denominator
+    for r, row in enumerate(rows):
+        if row[h]:
+            out = [den * a for a in row]
+            out[-1] -= num * row[h]
+            out[h] = 0
+            g = gcd(*out)
+            rows[r] = [a // g for a in out] if g > 1 else out
+    if h not in pivots:
+        return True
+    r = pivots.index(h)
+    row = rows[r]
+    col = next((j for j, a in enumerate(row[:-1]) if a), None)
+    if col is None:
+        del rows[r], pivots[r]
+        return row[-1] == 0
+    if row[col] < 0:
+        rows[r] = row = [-a for a in row]
+    for i, other in enumerate(rows):
+        if i != r and other[col]:
+            rows[i] = eliminate(other, row, col)
+    pivots[r] = col
+    return True
+
+
+def _integral_fallback(inst: QpBoxInstance, system, steps: list[RefineStep]):
     """Empty prime set: the ring is the integers.
 
     Every vertex of the solution set is then integral: its nonbasic
@@ -267,7 +328,7 @@ def _integral_fallback(inst: QpBoxInstance, steps: list[RefineStep]):
     lexicographically first integer solution in the bounds. A vertex that
     is not integral fails the ring re-check in _refine.
     """
-    x = _lexmin(inst.vectors, inst.target, inst.lower, inst.upper, range(inst.size))
+    x = _lexmin(system, inst.lower, inst.upper, range(inst.size))
     if x is None:
         raise InconsistencyError(
             "the solution set is empty although a solution was given"
@@ -292,18 +353,24 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
     for a, xi, b in zip(inst.lower, xs, inst.upper):
         if not (a <= xi <= b):
             raise PreconditionError(f"coordinate {xi} is outside [{a}, {b}]")
-    if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+    system = _echelon_system(inst.vectors, inst.target)
+    if _ring_coordinates(system, inst.size, inst.primes) is None:
         raise PreconditionError("target is outside the ring span")
-    return _refine(inst, xs)
+    return _refine(inst, xs, system)
 
 
-def _refine(inst: QpBoxInstance, xs) -> tuple[tuple[Fraction, ...], RefinementTrace]:
-    """refine_to_qp once its preconditions hold; re-checks the output."""
+def _refine(
+    inst: QpBoxInstance, xs, system
+) -> tuple[tuple[Fraction, ...], RefinementTrace]:
+    """refine_to_qp once its preconditions hold; re-checks the output.
+
+    system is the _echelon_system of the instance; it is not modified.
+    """
     steps: list[RefineStep] = []
     if inst.primes:
-        y = _induct(inst, xs, steps)
+        y = _induct(inst, xs, system, steps)
     else:
-        y = _integral_fallback(inst, steps)
+        y = _integral_fallback(inst, system, steps)
     if not _solves(inst.vectors, inst.target, y):
         raise InconsistencyError("refined point no longer solves the system")
     for a, yi, b in zip(inst.lower, y, inst.upper):
@@ -315,7 +382,9 @@ def _refine(inst: QpBoxInstance, xs) -> tuple[tuple[Fraction, ...], RefinementTr
     return tuple(y), RefinementTrace(tuple(steps))
 
 
-def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
+def _induct(
+    inst: QpBoxInstance, xs, system, steps: list[RefineStep]
+) -> list[Fraction]:
     """The constructive induction over a nonempty prime set.
 
     Fixes one ring coordinate at a time (case1), or, when none is in the
@@ -326,19 +395,31 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
     active set, so the invariant holds at every step. A set is dependent
     iff it contains a circuit, so the active subfamily is independent iff
     inside is empty.
+
+    rows and pivots hold the integer echelon rows of the active family and
+    the residual target, started from system. Each case1 step updates them
+    with _fix_column and guards that the residual target stays in the ring
+    span of the active family, as qp_solve_exact on that family would: the
+    guard is a row update and _rhs_in_ring's tests, not a new elimination.
     """
     primes = inst.primes
     result: dict[int, Fraction] = {}
     active = list(range(inst.size))
     inside = list(inst.family_circuits)
-    w = list(inst.target)
     cur = dict(enumerate(xs))
+    mat, pivots = system
+    rows = [list(row) for row in mat[: len(pivots)]]
+    pivots = list(pivots)
 
     while active:
         if len(active) == 1:
             i = active[0]
             if all(v == 0 for v in inst.vectors[i]):
-                if any(w):
+                # the residual target: what the fixed coordinates leave over
+                if any(
+                    t != sum(x * inst.vectors[h][j] for h, x in result.items())
+                    for j, t in enumerate(inst.target)
+                ):
                     raise InconsistencyError("nonzero target over a zero vector")
                 result[i] = inst.lower[i]
                 steps.append(RefineStep(case="base", pivot=i))
@@ -363,17 +444,11 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
             steps.append(RefineStep(case="independent"))
             break
 
-        ring_members = [i for i in active if in_qp(cur[i], primes)]
-        if ring_members:
-            h = ring_members[0]
-            remaining = [i for i in active if i != h]
-            w_next = [
-                w[j] - cur[h] * inst.vectors[h][j] for j in range(len(w))
-            ]
-            check = qp_solve_exact(
-                [inst.vectors[i] for i in remaining], w_next, primes
-            )
-            if check is None:
+        h = next((i for i in active if in_qp(cur[i], primes)), None)
+        if h is not None:
+            if not _fix_column(rows, pivots, h, cur[h]) or not _rhs_in_ring(
+                rows, pivots, inst.size, primes
+            ):
                 raise InconsistencyError(
                     "residual target left the ring span after fixing a "
                     "ring coordinate"
@@ -381,8 +456,7 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
             inside = [c for c in inside if h not in c.support]
             result[h] = cur[h]
             steps.append(RefineStep(case="case1", pivot=h, pivot_value=cur[h]))
-            active = remaining
-            w = w_next
+            active = [i for i in active if i != h]
             continue
 
         # No coordinate is in the ring: perturb along a circuit. Clear the
@@ -464,10 +538,11 @@ def near_integers_solve(vectors, target, lower, upper, primes=None) -> QpSolveRe
     pass there is a ring solution in the box, and one is produced.
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper, primes)
-    if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+    system = _echelon_system(inst.vectors, inst.target)
+    if _ring_coordinates(system, inst.size, inst.primes) is None:
         return QpSolveResult(False, "not-in-span", None, None, inst.primes)
-    x = rational_box_solve(inst.vectors, inst.target, inst.lower, inst.upper)
+    x = _box_solve(inst.vectors, inst.target, inst.lower, inst.upper, system)
     if x is None:
         return QpSolveResult(False, "no-rational-solution", None, None, inst.primes)
-    y, trace = _refine(inst, x)
+    y, trace = _refine(inst, x, system)
     return QpSolveResult(True, None, y, trace, inst.primes)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticebox.arith import (
     PrimeSet,
@@ -123,6 +125,57 @@ def test_p_part_examples():
     assert p_part(Fraction(1, 12), PrimeSet([2])) == (4, 3)
     assert p_part(Fraction(1, 5), PrimeSet([2, 3])) == (1, 5)
     assert p_part(7, PrimeSet([2])) == (1, 1)
+
+
+def _coprime_part_oracle(n, primes):
+    # the per-prime loop that in_qp and p_part ran before the ring test
+    # moved to gcds against the product of the set
+    n = abs(n)
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+_FIRST_PRIMES = list(sympy.primerange(2, sympy.prime(10_000) + 1))
+_PRIME_SETS = [
+    PrimeSet(),
+    PrimeSet([2]),
+    PrimeSet([3, 7]),
+    PrimeSet([2, 3, 5, 7, 11, 13]),
+    PrimeSet([101, 104_723, 1_000_003]),
+    PrimeSet(_FIRST_PRIMES),
+]
+# factors inside and outside every set above: small primes, the largest of
+# the first 10,000, the next prime after them, and a prime near 10^6
+_FACTORS = [2, 3, 5, 7, 11, 13, 17, 101, 104_723, 104_729, 104_743, 1_000_003]
+
+
+@st.composite
+def _integers_with_factors(draw):
+    n = draw(st.integers(-50, 50))
+    for p in draw(st.lists(st.sampled_from(_FACTORS), max_size=6)):
+        n *= p
+    return n
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_PRIME_SETS),
+    _integers_with_factors(),
+    _integers_with_factors().filter(bool),
+)
+def test_ring_membership_matches_per_prime_loop(primes, a, d):
+    x = Fraction(a, d)
+    coprime = _coprime_part_oracle(x.denominator, primes)
+    assert primes.coprime_part(d) == _coprime_part_oracle(d, primes)
+    # a/d is in the ring iff d/gcd(a, d) is smooth over the set
+    assert (a % primes.coprime_part(d) == 0) == (coprime == 1)
+    assert in_qp(x, primes) == (coprime == 1)
+    assert p_part(x, primes) == (x.denominator // coprime, coprime)
+    assert in_qp(a, primes) and p_part(a, primes) == (1, 1)
+    with pytest.raises(ValueError):
+        primes.coprime_part(0)
 
 
 def test_rational_round_trip():

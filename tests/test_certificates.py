@@ -63,6 +63,10 @@ def test_evaluate_examples():
     assert evaluate(e, (0,), (4,)) == 2
     assert evaluate(Lower(0), (-5,), (0,)) == -5
     assert evaluate(Neg(CeilDiv(Upper(0), -3)), (0,), (0,)) == 0
+    # int() would truncate the bound 0.5 to 0
+    for a, b in (((0.5,), (1,)), (("0",), (1,)), ((0,), (Fraction(1),))):
+        with pytest.raises(TypeError):
+            evaluate(Diff(Upper(0), Lower(0)), a, b)
 
 
 def test_expr_order():

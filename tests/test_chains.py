@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -112,6 +113,18 @@ def test_map_point_examples():
     assert dv.pairs == ((0, 2),)
     assert dv.zero == (1,)
     assert map_point(dv, (5, 7, -2)) == (3, 7)
+
+
+def test_chains_refuse_non_integers():
+    # int() would truncate: (1.5, 0) was the divisor (1, 0), and (0.7, 2.9)
+    # mapped to (-2,) under (1, 1)
+    for v in ((1.5, 0), ("1", 0), (Fraction(1), 0)):
+        with pytest.raises(TypeError):
+            DivisorVector.of(v)
+    dv = DivisorVector.of((1, 1))
+    for t in ((0.7, 2.9), ("0", "2"), (Fraction(0), 2)):
+        with pytest.raises(TypeError):
+            map_point(dv, t)
 
 
 def test_map_point_divisibility_error():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, lcm
@@ -10,6 +11,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from latticebox import localized
 from latticebox.arith import PrimeSet, in_qp, p_part
 from latticebox.circuits import circuits, prime_set
 from latticebox.errors import (
@@ -20,6 +22,7 @@ from latticebox.errors import (
 )
 from latticebox.localized import (
     QpBoxInstance,
+    _echelon_system,
     _integral_fallback,
     near_integers_solve,
     qp_solve_exact,
@@ -245,7 +248,8 @@ def test_integral_fallback_is_lexmin_vertex():
         if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
             continue
         steps = []
-        got = _integral_fallback(inst, steps)
+        system = _echelon_system(inst.vectors, inst.target)
+        got = _integral_fallback(inst, system, steps)
         points = _brute_vertices(vecs, target, lower, upper)
         assert all(xi.denominator == 1 for x in points for xi in x)
         assert tuple(got) == min(points, key=_lexmin_key(range(m)))
@@ -784,4 +788,152 @@ def test_refinement_trace_digest():
     assert (
         digest.hexdigest()
         == "d8bf077666fbf627837c4b6efda21c41e1a24bc81fe7acb5765e0300c5d68953"
+    )
+
+
+def _outside_prime(primes):
+    return next(q for q in sympy.primerange(2, 10**4) if q not in primes)
+
+
+def _guard_families(rng, count):
+    # _trace_families with a zero vector put into one family of four; each
+    # family comes with the points to refine: the simplex vertex, the
+    # hidden point if it solves the system inside the box, and the vertex
+    # moved off the ring along a circuit (case2 needs such points) when the
+    # move stays inside the box
+    for vecs, target, lower, upper, hidden in _trace_families(rng, count):
+        if rng.random() < 0.25:
+            i = rng.randint(0, len(vecs))
+            vecs.insert(i, [0] * len(target))
+            hidden.insert(i, F(rng.randint(-8, 8), rng.randint(1, 6)))
+            lower.insert(i, floor(hidden[i]) - rng.randint(0, 2))
+            upper.insert(i, ceil(hidden[i]) + rng.randint(0, 2))
+        inst = QpBoxInstance.build(vecs, target, lower, upper)
+        vertex = rational_box_solve(vecs, target, lower, upper)
+        if vertex is None:
+            yield inst, []
+            continue
+        points = [vertex]
+        if all(
+            sum(h * v[j] for h, v in zip(hidden, vecs)) == t
+            for j, t in enumerate(target)
+        ) and all(a <= h <= b for a, h, b in zip(lower, hidden, upper)):
+            points.append(hidden)
+        if inst.family_circuits:
+            c = rng.choice(inst.family_circuits)
+            q = _outside_prime(inst.primes)
+            for t in (F(1, q), F(-1, q)):
+                moved = list(vertex)
+                for i, a in zip(c.support, c.coeffs):
+                    moved[i] += t * a
+                if all(a <= x <= b for a, x, b in zip(lower, moved, upper)):
+                    points.append(moved)
+                    break
+        yield inst, points
+
+
+def _forged_instances(rng, count):
+    # inputs that break refine_to_qp's preconditions, which _refine does
+    # not check: a target outside the ring span, a point moved off the
+    # solution set, and a prime set that trades one of its primes for the
+    # least prime outside it, so that it misses a circuit prime but stays
+    # nonempty and the induction runs
+    for inst, points in _guard_families(rng, count):
+        if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+            yield inst, points
+        elif points and inst.primes:
+            yield inst, [[points[0][0] + 1, *points[0][1:]]]
+        if inst.primes:
+            primes = list(inst.primes)
+            primes.remove(rng.choice(primes))
+            primes.append(_outside_prime(inst.primes))
+            yield replace(inst, primes=PrimeSet(primes)), points
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except LatticeBoxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_case1_guard_matches_fresh_elimination(monkeypatch):
+    # at each case1 step the kept echelon rows must be those of a fresh
+    # elimination of the remaining family and residual target: the same
+    # pivot columns, the same reduced rows, and the ring verdict, exception
+    # class and message of qp_solve_exact on that family
+    fix = localized._fix_column
+    state = {}
+    seen = Counter()
+
+    def checked_fix(rows, pivots, h, value):
+        inst, fixed = state["inst"], state["fixed"]
+        fixed[h] = value
+        seen["pivot" if h in pivots else "free"] += 1
+        consistent = fix(rows, pivots, h, value)
+        remaining = [i for i in range(inst.size) if i not in fixed]
+        vecs = [inst.vectors[i] for i in remaining]
+        w = [
+            t - sum(x * inst.vectors[i][j] for i, x in fixed.items())
+            for j, t in enumerate(inst.target)
+        ]
+        fresh = _echelon_system(vecs, w)
+        assert consistent == (fresh is not None)
+        if fresh is not None:
+            mat, fresh_pivots = fresh
+            assert sorted(pivots) == [remaining[c] for c in fresh_pivots]
+            kept = sorted(
+                (col, [F(row[i], row[col]) for i in remaining + [-1]])
+                for row, col in zip(rows, pivots)
+            )
+            assert kept == [
+                (remaining[c], [F(a, row[c]) for a in row])
+                for row, c in zip(mat, fresh_pivots)
+            ]
+        verdict = _outcome(
+            lambda: consistent
+            and localized._rhs_in_ring(rows, pivots, inst.size, inst.primes)
+        )
+        expected = _outcome(qp_solve_exact, vecs, w, inst.primes)
+        if not isinstance(expected, tuple):
+            expected = expected is not None
+        assert verdict == expected
+        seen["inconsistent"] += not consistent
+        seen[verdict if isinstance(verdict, tuple) else bool(verdict)] += 1
+        return consistent
+
+    def refine(inst, x):
+        system = _echelon_system(inst.vectors, inst.target)
+        state.update(inst=inst, fixed={})
+        return _outcome(localized._refine, inst, x, system)
+
+    monkeypatch.setattr(localized, "_fix_column", checked_fix)
+    for inst, points in _guard_families(random.Random(24017), 900):
+        if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+            continue
+        seen["zero"] += any(not any(v) for v in inst.vectors)
+        seen["repeat"] += len(set(inst.vectors)) < inst.size
+        for x in points:
+            y, trace = refine(inst, x)
+            seen.update(s.case for s in trace.steps)
+    # the forged inputs reach the guard's failures; their outcomes are
+    # pinned as they were when every case1 step ran qp_solve_exact afresh
+    digest = hashlib.sha256()
+    for inst, points in _forged_instances(random.Random(24019), 900):
+        for x in points:
+            out = refine(inst, x)
+            if isinstance(out, tuple) and isinstance(out[0], str):
+                digest.update(repr(out).encode())
+                seen[out] += 1
+            else:
+                y, trace = out
+                record = [rationals_to_json(y), trace_to_json(trace)]
+                digest.update(json.dumps(record, sort_keys=True).encode())
+    assert seen["pivot"] > 1000 and seen["free"] > 500
+    assert seen["case2"] >= 100 and seen["zero"] >= 100 and seen["repeat"] >= 100
+    assert seen["inconsistent"] > 0 and seen[False] > 0
+    assert seen[("PreconditionError", "prime set misses a circuit prime of the family")]
+    assert (
+        digest.hexdigest()
+        == "73eade3e28c503235aba4932cace53ea619af8cd0a4b91e7ca6c7dc80ad12213"
     )
