@@ -18,7 +18,6 @@ from .arith import (
     format_rational,
     in_qp,
     is_prime,
-    p_part,
     parse_rational,
 )
 from .certificates import (
@@ -36,8 +35,6 @@ from .certificates import (
     expr_order,
     feasible_by_certificates,
     generate_certificates,
-    rank1_certificates,
-    reduced_bounds_exprs,
     solve_box,
 )
 from .chains import (
@@ -117,13 +114,10 @@ __all__ = [
     "is_prime",
     "map_point",
     "near_integers_solve",
-    "p_part",
     "parse_rational",
     "prime_set",
     "qp_solve_exact",
-    "rank1_certificates",
     "rational_box_solve",
-    "reduced_bounds_exprs",
     "refine_to_qp",
     "solve_box",
 ]

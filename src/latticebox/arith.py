@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import index
 
 from .errors import ResourceLimitError
 
@@ -113,7 +114,7 @@ class PrimeSet:
     __slots__ = ("primes", "_product")
 
     def __init__(self, primes=()):
-        seen = sorted({int(p) for p in primes})
+        seen = sorted({index(p) for p in primes})
         for p in seen:
             if not is_prime(p):
                 raise ValueError(f"PrimeSet: {p} is not prime")
@@ -179,18 +180,8 @@ def in_qp(x, primes: PrimeSet) -> bool:
 
     Integers always qualify; with an empty prime set the ring is the integers.
     """
-    return p_part(x, primes)[1] == 1
-
-
-def p_part(x, primes: PrimeSet) -> tuple[int, int]:
-    """Split the reduced denominator of x as (smooth, coprime).
-
-    smooth carries exactly the prime factors from `primes`, coprime the rest;
-    their product is the denominator. Integers give (1, 1).
-    """
     den = x.denominator if isinstance(x, (int, Fraction)) else Fraction(x).denominator
-    coprime = primes.coprime_part(den)
-    return den // coprime, coprime
+    return primes.coprime_part(den) == 1
 
 
 def eliminate(row, pivot_row, col):

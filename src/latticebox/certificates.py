@@ -180,7 +180,14 @@ def _leaves(n: int) -> tuple[list[Expr], list[Expr]]:
 
 
 def _certificates(div: DivisorVector, child, lower, upper) -> list[Expr]:
-    """Certificates of a chain level (child: the next, or None) over its inputs."""
+    """Certificates of a chain level (child: the next, or None) over its inputs.
+
+    At rank 1 (child None) members are t·v, so feasibility is U_j - L_i >= 0
+    for every ordered pair of nonzero coordinates. Zero coordinates of v are
+    zero in every member, which needs a_k <= 0 <= b_k: emitted as the two
+    expressions b_k and -a_k. (The single difference b_k - a_k would accept
+    boxes with 0 < a_k <= b_k that contain no lattice point.)
+    """
     bounds = _multiplier_bounds(div, lower, upper, FloorDiv, CeilDiv)
     if child is None:
         pairs = [
@@ -198,30 +205,6 @@ def _certificates(div: DivisorVector, child, lower, upper) -> list[Expr]:
     out = _certificates(child.divisor, child.child, *reduced)
     out.extend(Diff(hi, lo) for lo, hi in bounds.values())
     return out
-
-
-def rank1_certificates(div: DivisorVector) -> list[Expr]:
-    """Certificate family for the rank-1 lattice generated by div.
-
-    Members are t·v, so feasibility is U_j - L_i >= 0 for every ordered
-    pair of nonzero coordinates. Zero coordinates of v are zero in every
-    member, which needs a_k <= 0 <= b_k: emitted as the two expressions
-    b_k and -a_k. (The single difference b_k - a_k would accept boxes with
-    0 < a_k <= b_k that contain no lattice point.)
-    """
-    return _certificates(div, None, *_leaves(len(div.v)))
-
-
-def reduced_bounds_exprs(div: DivisorVector) -> tuple[list[Expr], list[Expr]]:
-    """Bound expressions for each reduced coordinate, as (lowers, uppers).
-
-    For a pair coordinate (i, j) the interval [L_i - U_j, U_i - L_j] bounds
-    the quotient difference y_i/v_i - y_j/v_j of any member that can be
-    completed to a box point. Zero coordinates pass their bounds through.
-    """
-    lower, upper = _leaves(len(div.v))
-    bounds = _multiplier_bounds(div, lower, upper, FloorDiv, CeilDiv)
-    return _reduced_bounds(div, bounds, lower, upper, Diff)
 
 
 def generate_certificates(cert: ChainCertificate) -> CertificateSet:

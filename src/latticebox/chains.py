@@ -136,16 +136,28 @@ def certify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM):
     is read from the divisor (its pairs plus its zero coordinates), so a
     level beyond max_dim raises ResourceLimitError before its image is
     built rather than searching a blown-up space.
+
+    Different divisors often map to the same image lattice. A lattice is
+    canonical and hashable, and a search that found no chain for it finds
+    none again, so each call remembers the images that failed and skips
+    them: no lattice is searched twice.
     """
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
+    return _search(lat, max_dim, set())
+
+
+def _search(lat: Lattice, max_dim: int, failed: set):
+    if lat in failed:
+        return None
     for div in divisor_candidates(lat):
         if lat.rank == 1:
             return ChainCertificate(lat, div, None)
         dim = len(div.pairs) + len(div.zero)
         if dim > max_dim:
             raise ResourceLimitError(f"image dimension {dim} exceeds cap {max_dim}")
-        sub = certify(image_lattice(lat, div), max_dim=max_dim)
+        sub = _search(image_lattice(lat, div), max_dim, failed)
         if sub is not None:
             return ChainCertificate(lat, div, sub)
+    failed.add(lat)
     return None

@@ -88,32 +88,20 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({self.ambient_dim}, {[list(r) for r in self.basis]})"
 
-    def _check_dim(self, w) -> list[int]:
-        vec = list(map(index, w))
-        if len(vec) != self.ambient_dim:
-            raise DimensionError(
-                f"vector of length {len(vec)}, expected {self.ambient_dim}"
-            )
-        return vec
-
     def member(self, w) -> bool:
         """Whether w is an integral combination of the basis rows."""
-        return self.solve_integral(w) is not None
-
-    def solve_integral(self, w):
-        """Coefficients expressing w in the basis, or None when w is outside."""
-        t = self._check_dim(w)
-        coeffs = []
+        t = list(map(index, w))
+        if len(t) != self.ambient_dim:
+            raise DimensionError(
+                f"vector of length {len(t)}, expected {self.ambient_dim}"
+            )
         for row, p in zip(self.basis, self.pivots):
-            if t[p] % row[p] != 0:
-                return None
+            if t[p] % row[p]:
+                return False
             q = t[p] // row[p]
-            coeffs.append(q)
             if q:
                 t = [x - q * y for x, y in zip(t, row)]
-        if any(t):
-            return None
-        return tuple(coeffs)
+        return not any(t)
 
     def projection_gcds(self) -> tuple[int, ...]:
         """Per-coordinate gcd of the basis (0 where every member vanishes)."""

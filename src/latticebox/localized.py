@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
-from .arith import PrimeSet, echelon, eliminate, in_qp, p_part, parse_rational
+from .arith import PrimeSet, echelon, eliminate, in_qp, parse_rational
 from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
@@ -463,7 +463,7 @@ def _induct(
         # off-ring denominator parts with the smallest valid factor.
         k = 1
         for i in active:
-            k = lcm(k, p_part(cur[i], primes)[1])
+            k = lcm(k, primes.coprime_part(cur[i].denominator))
         scaled = {i: k * cur[i] for i in active}
         for i in active:
             if not in_qp(scaled[i], primes):

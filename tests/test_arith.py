@@ -16,7 +16,6 @@ from latticebox.arith import (
     format_rational,
     in_qp,
     is_prime,
-    p_part,
     parse_rational,
 )
 from latticebox.errors import ResourceLimitError
@@ -101,6 +100,15 @@ def test_prime_set_validation():
         is_prime(10**12 + 39)
 
 
+@pytest.mark.parametrize(
+    "primes", [[2.5, 3.9], ["5"], [Fraction(2)]], ids=["floats", "string", "fraction"]
+)
+def test_prime_set_refuses_non_integers(primes):
+    # int() would truncate 2.5 and 3.9 to the primes 2 and 3
+    with pytest.raises(TypeError):
+        PrimeSet(primes)
+
+
 def test_in_qp_examples():
     assert in_qp(Fraction(3, 4), PrimeSet([2]))
     assert not in_qp(Fraction(1, 3), PrimeSet([2]))
@@ -121,14 +129,15 @@ def test_in_qp_ring_closure():
         assert in_qp(x * y, ps)
 
 
-def test_p_part_examples():
-    assert p_part(Fraction(1, 12), PrimeSet([2])) == (4, 3)
-    assert p_part(Fraction(1, 5), PrimeSet([2, 3])) == (1, 5)
-    assert p_part(7, PrimeSet([2])) == (1, 1)
+def test_coprime_part_examples():
+    assert PrimeSet([2]).coprime_part(12) == 3
+    assert PrimeSet([2, 3]).coprime_part(-5) == 5
+    assert PrimeSet([2]).coprime_part(1) == 1
+    assert PrimeSet().coprime_part(12) == 12
 
 
 def _coprime_part_oracle(n, primes):
-    # the per-prime loop that in_qp and p_part ran before the ring test
+    # the per-prime loop that in_qp ran before the ring test
     # moved to gcds against the product of the set
     n = abs(n)
     for p in primes:
@@ -172,8 +181,7 @@ def test_ring_membership_matches_per_prime_loop(primes, a, d):
     # a/d is in the ring iff d/gcd(a, d) is smooth over the set
     assert (a % primes.coprime_part(d) == 0) == (coprime == 1)
     assert in_qp(x, primes) == (coprime == 1)
-    assert p_part(x, primes) == (x.denominator // coprime, coprime)
-    assert in_qp(a, primes) and p_part(a, primes) == (1, 1)
+    assert in_qp(a, primes)
     with pytest.raises(ValueError):
         primes.coprime_part(0)
 

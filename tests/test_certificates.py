@@ -14,13 +14,15 @@ from latticebox.certificates import (
     Lower,
     Neg,
     Upper,
+    _certificates,
+    _leaves,
+    _multiplier_bounds,
+    _reduced_bounds,
     brute_force_solve,
     evaluate,
     expr_order,
     feasible_by_certificates,
     generate_certificates,
-    rank1_certificates,
-    reduced_bounds_exprs,
     solve_box,
 )
 from latticebox.chains import ChainCertificate, DivisorVector, certify
@@ -95,6 +97,18 @@ def test_negation_identity_property():
         a = (rng.randint(-20, 20), rng.randint(-20, 20))
         b = (rng.randint(-20, 20), rng.randint(-20, 20))
         assert evaluate(left, a, b) == evaluate(right, a, b)
+
+
+def rank1_certificates(div):
+    """The rank-1 certificate family of div over the box bounds."""
+    return _certificates(div, None, *_leaves(len(div.v)))
+
+
+def reduced_bounds_exprs(div):
+    """The reduced-coordinate bound expressions of div, as (lowers, uppers)."""
+    lower, upper = _leaves(len(div.v))
+    bounds = _multiplier_bounds(div, lower, upper, FloorDiv, CeilDiv)
+    return _reduced_bounds(div, bounds, lower, upper, Diff)
 
 
 def test_rank1_certificates_family_shape():

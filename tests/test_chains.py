@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from latticebox.chains import (
+    DEFAULT_MAX_DIM,
+    ChainCertificate,
     DivisorVector,
     certify,
     divisor_candidates,
@@ -260,6 +262,73 @@ def test_certify_dimension_cap(monkeypatch):
     with pytest.raises(ResourceLimitError, match="image dimension 15 exceeds cap 10"):
         certify(identity, max_dim=10)
     assert certify(Lattice(3, [(2, -3, 0)]), max_dim=1).chain_length == 1
+
+
+def certify_unmemoized(lat, max_dim=DEFAULT_MAX_DIM, visited=None):
+    """Reference: the chain search without certify's memo of failed images.
+
+    visited, when given, collects every lattice whose candidates are walked.
+    """
+    if visited is not None:
+        visited.append(lat)
+    for div in divisor_candidates(lat):
+        if lat.rank == 1:
+            return ChainCertificate(lat, div, None)
+        dim = len(div.pairs) + len(div.zero)
+        if dim > max_dim:
+            raise ResourceLimitError(f"image dimension {dim} exceeds cap {max_dim}")
+        sub = certify_unmemoized(image_lattice(lat, div), max_dim, visited)
+        if sub is not None:
+            return ChainCertificate(lat, div, sub)
+    return None
+
+
+def _outcome(search, lat, max_dim, **kwargs):
+    try:
+        return search(lat, max_dim, **kwargs)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def test_certify_matches_unmemoized_search():
+    rng = random.Random(20261019)
+    kinds = set()
+    revisits = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        lat = Lattice(n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        if lat.rank == 0:
+            continue
+        max_dim = rng.choice([3, 6, DEFAULT_MAX_DIM])
+        visited = []
+        expected = _outcome(certify_unmemoized, lat, max_dim, visited=visited)
+        assert _outcome(certify, lat, max_dim) == expected
+        kinds.add(type(expected))
+        revisits += len(visited) > len(set(visited))
+    # chains, no chain and the cap all occur, and some searches meet an
+    # image lattice twice, which is where the memo acts
+    assert kinds == {ChainCertificate, type(None), str}
+    assert revisits > 0
+
+
+def test_certify_searches_no_image_twice(monkeypatch):
+    # Z^3 + <(1, 2), (0, 5)> has no chain: without the memo, the search
+    # walks the candidates of its 8 image lattices 603 times
+    gens = [[int(i == j) for j in range(5)] for i in range(3)]
+    lat = Lattice(5, gens + [[0, 0, 0, 1, 2], [0, 0, 0, 0, 5]])
+    visited = []
+    assert certify_unmemoized(lat, visited=visited) is None
+    assert (len(visited), len(set(visited))) == (603, 8)
+
+    searched = []
+
+    def counting(lat):
+        searched.append(lat)
+        return divisor_candidates(lat)
+
+    monkeypatch.setattr("latticebox.chains.divisor_candidates", counting)
+    assert certify(lat) is None
+    assert sorted(map(repr, searched)) == sorted(map(repr, set(visited)))
 
 
 def test_sign_partition():

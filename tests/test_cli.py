@@ -206,13 +206,24 @@ def test_exit_code_usage_error():
     assert rc == 1 and err
 
 
-def test_seed_flag_belongs_to_gen_corpus_only(tmp_path):
-    path = CORPUS / "instances" / "lattice_span_2408.json"
-    rc, out, err = run_cli(["certify", str(path), "--seed", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "lattice_span_2408.json", "--seed", "3"],
+        ["gen-corpus", "seeded", "--seed", "3"],
+        ["solve", "rank2_nested.json", "--method", "cert"],
+    ],
+    ids=["certify-seed", "gen-corpus-seed", "solve-method"],
+)
+def test_unsupported_flags_are_usage_errors(tmp_path, argv):
+    # gen-corpus writes the one pinned corpus, and solve has one route:
+    # neither takes a flag to choose another
+    command, path, *flags = argv
+    where = tmp_path if command == "gen-corpus" else CORPUS / "instances"
+    rc, out, err = run_cli([command, str(where / path), *flags])
     assert rc == 1 and out == ""
-    assert "unrecognized arguments: --seed 3" in err
-    rc, _, _ = run_cli(["gen-corpus", str(tmp_path / "seeded"), "--seed", "3"])
-    assert rc == 0
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert not (tmp_path / "seeded").exists()
 
 
 def test_exit_code_resource_limit(tmp_path):
@@ -283,23 +294,33 @@ def test_output_flag_writes_file(tmp_path):
 
 
 def test_solve_methods_same_witness_validity():
-    path = CORPUS / "instances" / "rank2_nested.json"
-    payloads = []
-    for method in ("cert", "recursive", "oracle"):
-        rc, out, _ = run_cli(["solve", str(path), "--method", method])
-        assert rc == 0
-        payloads.append(json.loads(out))
-    assert all(p["feasible"] for p in payloads)
-    data = json.loads(path.read_text())
-    lo = [int(x) for x in data["box"]["lower"]]
-    hi = [int(x) for x in data["box"]["upper"]]
+    # solve (the divisor-chain recursion) and oracle (the scan) agree on
+    # feasibility, and each witness is a lattice point in the box
     from latticebox.lattice import Lattice
 
-    lat = Lattice(2, [[int(x) for x in g] for g in data["lattice"]["generators"]])
-    for p in payloads:
-        w = [int(x) for x in p["witness"]]
-        assert lat.member(w)
-        assert all(a <= x <= b for a, x, b in zip(lo, w, hi))
+    paths = sorted((CORPUS / "instances").glob("*.json"))
+    boxes = [p for p in paths if "box" in json.loads(p.read_text())]
+    assert boxes
+    feasible = 0
+    for path in boxes:
+        data = json.loads(path.read_text())
+        lo = [int(x) for x in data["box"]["lower"]]
+        hi = [int(x) for x in data["box"]["upper"]]
+        gens = [[int(x) for x in g] for g in data["lattice"]["generators"]]
+        lat = Lattice(data["lattice"]["ambient_dim"], gens)
+        payloads = []
+        for command in ("solve", "oracle"):
+            rc, out, _ = run_cli([command, str(path)])
+            assert rc == 0
+            payloads.append(json.loads(out))
+        assert payloads[0]["feasible"] == payloads[1]["feasible"]
+        for p in payloads:
+            if p["feasible"]:
+                w = [int(x) for x in p["witness"]]
+                assert lat.member(w)
+                assert all(a <= x <= b for a, x, b in zip(lo, w, hi))
+        feasible += payloads[0]["feasible"]
+    assert 0 < feasible < len(boxes)
 
 
 def test_qpsolve_supplied_prime_set(tmp_path):

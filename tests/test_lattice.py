@@ -72,6 +72,7 @@ def test_member_examples():
     assert lat.member((2, -4))
     assert not Lattice(2, [(2, 4)]).member((1, 2))
     assert lat.member((0, 0))
+    assert not lat.member((1, 1))
 
 
 def test_projection_gcds_examples():
@@ -80,20 +81,11 @@ def test_projection_gcds_examples():
     assert Lattice(2, [(0, 0)]).projection_gcds() == (0, 0)
 
 
-def test_solve_integral_examples():
-    lat = Lattice(2, [(2, 4), (0, 8)])
-    assert lat.solve_integral((2, -4)) == (1, -1)
-    assert lat.solve_integral((0, 0)) == (0, 0)
-    assert lat.solve_integral((1, 1)) is None
-
-
 def test_member_iff_solve_property():
     rng = random.Random(17)
     for _ in range(300):
         lat = rand_lattice(rng)
         w = [rng.randint(-10, 10) for _ in range(lat.ambient_dim)]
-        coeffs = lat.solve_integral(w)
-        assert (coeffs is not None) == lat.member(w)
         # independent route: the basis rows are independent, so the rational
         # coefficients of w are unique when they exist, and w is a member
         # iff they exist and are all integers
@@ -107,10 +99,4 @@ def test_member_iff_solve_property():
         rational = all(row[k] == 0 for row in mat[k:])
         integral = rational and all(row[k].denominator == 1 for row in mat[:k])
         assert integral == lat.member(w)
-        if coeffs is not None:
-            rebuilt = [
-                sum(coeffs[k] * lat.basis[k][j] for k in range(lat.rank))
-                for j in range(lat.ambient_dim)
-            ]
-            assert rebuilt == list(w)
 

@@ -12,7 +12,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from latticebox import localized
-from latticebox.arith import PrimeSet, in_qp, p_part
+from latticebox.arith import PrimeSet, in_qp
 from latticebox.circuits import circuits, prime_set
 from latticebox.errors import (
     DimensionError,
