@@ -72,13 +72,21 @@ def test_member_examples():
     assert lat.member((2, -4))
     assert not Lattice(2, [(2, 4)]).member((1, 2))
     assert lat.member((0, 0))
-    assert not lat.member((1, 1))
 
 
 def test_projection_gcds_examples():
     assert Lattice(2, [(2, 4), (0, 8)]).projection_gcds() == (2, 4)
     assert Lattice(2, [(3, 0)]).projection_gcds() == (3, 0)
     assert Lattice(2, [(0, 0)]).projection_gcds() == (0, 0)
+
+
+def test_solve_integral_examples():
+    # the integral solutions that member decides: (2, -4) = 1*(2, 4) - 1*(0, 8)
+    lat = Lattice(2, [(2, 4), (0, 8)])
+    assert [1 * a - 1 * b for a, b in zip(*lat.basis)] == [2, -4]
+    assert lat.member((2, -4))
+    assert lat.member((0, 0))
+    assert not lat.member((1, 1))
 
 
 def test_member_iff_solve_property():
