@@ -29,16 +29,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 
 def floor_div(a: int, m: int) -> int:
     """Greatest integer <= a/m, for either sign of m (never truncation)."""
-    if m == 0:
-        raise ZeroDivisionError("floor_div: zero divisor")
     # Python's // already rounds toward -inf for any sign combination.
     return a // m
 
 
 def ceil_div(a: int, m: int) -> int:
     """Least integer >= a/m; satisfies ceil_div(a, m) == -floor_div(-a, m)."""
-    if m == 0:
-        raise ZeroDivisionError("ceil_div: zero divisor")
     return -((-a) // m)
 
 
@@ -147,9 +143,6 @@ class PrimeSet:
     def __repr__(self) -> str:
         return f"PrimeSet({list(self.primes)!r})"
 
-    def issuperset(self, other: "PrimeSet") -> bool:
-        return set(other.primes) <= set(self.primes)
-
     @property
     def smallest(self) -> int:
         if not self.primes:
@@ -179,9 +172,10 @@ def in_qp(x, primes: PrimeSet) -> bool:
     """True iff every prime factor of the reduced denominator lies in primes.
 
     Integers always qualify; with an empty prime set the ring is the integers.
+    x is read exactly by parse_rational, so a float raises ValueError: the
+    binary 0.1 has denominator 2^55, not 10.
     """
-    den = x.denominator if isinstance(x, (int, Fraction)) else Fraction(x).denominator
-    return primes.coprime_part(den) == 1
+    return primes.coprime_part(parse_rational(x).denominator) == 1
 
 
 def eliminate(row, pivot_row, col):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -59,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     add("circuits", "elementary relations and the prime set of a family")
     add("qpsolve", "restricted-denominator box solving")
-
-    g = sub.add_parser("gen-corpus", help="write the deterministic test corpus")
-    g.add_argument("outdir")
     return parser
 
 
@@ -143,10 +139,7 @@ def _cmd_qpsolve(data) -> dict:
     target = serialize.rationals_from_json(data["target"])
     lower = serialize.rationals_from_json(data["lower"])
     upper = serialize.rationals_from_json(data["upper"])
-    primes = None
-    if data.get("prime_set") is not None:
-        primes = serialize.primes_from_json(data["prime_set"])
-    result = near_integers_solve(vectors, target, lower, upper, primes)
+    result = near_integers_solve(vectors, target, lower, upper)
     return {
         "solvable": result.solvable,
         "reason": result.reason,
@@ -164,87 +157,6 @@ def _cmd_qpsolve(data) -> dict:
     }
 
 
-def _corpus_instances() -> dict[str, dict]:
-    """Deterministic corpus: worked examples plus seeded random instances."""
-    rng = random.Random(7)  # the seed tests/corpus was written with
-    out: dict[str, dict] = {
-        "rank1_mixed.json": {
-            "lattice": {"ambient_dim": 3, "generators": [["2", "-3", "0"]]},
-            "box": {"lower": ["0", "-6", "-1"], "upper": ["4", "0", "5"]},
-        },
-        "rank1_infeasible.json": {
-            "lattice": {"ambient_dim": 1, "generators": [["2"]]},
-            "box": {"lower": ["1"], "upper": ["1"]},
-        },
-        "rank2_nested.json": {
-            "lattice": {"ambient_dim": 2, "generators": [["2", "4"], ["0", "8"]]},
-            "box": {"lower": ["0", "0"], "upper": ["4", "8"]},
-        },
-        "rank2_zero_box.json": {
-            "lattice": {"ambient_dim": 2, "generators": [["2", "4"], ["0", "8"]]},
-            "box": {"lower": ["0", "0"], "upper": ["0", "0"]},
-        },
-        "lattice_span_2408.json": {
-            "ambient_dim": 2,
-            "generators": [["2", "4"], ["0", "8"]],
-        },
-        "lattice_mixed_signs.json": {
-            "ambient_dim": 3,
-            "generators": [["2", "-3", "0"]],
-        },
-        "lattice_no_chain.json": {
-            "ambient_dim": 2,
-            "generators": [["1", "2"], ["0", "5"]],
-        },
-        "family_two_three.json": {
-            "vectors": [["2", "0"], ["3", "0"], ["0", "1"]],
-        },
-        "qp_two_three.json": {
-            "vectors": [["2"], ["3"]],
-            "target": ["1"],
-            "lower": ["0", "0"],
-            "upper": ["1", "1"],
-        },
-        "qp_not_in_span.json": {
-            "vectors": [["2"]],
-            "target": ["1"],
-            "lower": ["0"],
-            "upper": ["1"],
-        },
-    }
-    idx = 0
-    while idx < 8:
-        n = rng.randint(1, 3)
-        k = rng.randint(1, n)
-        gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-        lat = serialize.lattice_from_json({"ambient_dim": n, "generators": gens})
-        if lat.rank == 0 or certify(lat) is None:
-            continue
-        lo = [rng.randint(-6, 6) for _ in range(n)]
-        hi = [rng.randint(lo[j], 6) for j in range(n)]
-        out[f"random_box_{idx:02d}.json"] = {
-            "lattice": {
-                "ambient_dim": n,
-                "generators": [[str(x) for x in g] for g in gens],
-            },
-            "box": {
-                "lower": [str(x) for x in lo],
-                "upper": [str(x) for x in hi],
-            },
-        }
-        idx += 1
-    return out
-
-
-def _cmd_gen_corpus(outdir: str) -> dict:
-    target = Path(outdir)
-    target.mkdir(parents=True, exist_ok=True)
-    instances = _corpus_instances()
-    for name, payload in sorted(instances.items()):
-        (target / name).write_text(serialize.dumps(payload))
-    return {"written": len(instances), "dir": str(target)}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -253,28 +165,23 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "gen-corpus":
-            payload = _cmd_gen_corpus(args.outdir)
+        data = _load(args.input)
+        if args.command == "certify":
+            payload = _cmd_certify(data)
+        elif args.command == "certs":
+            payload = _cmd_certs(data)
+        elif args.command == "feasible":
+            payload = _cmd_feasible(data, args.method)
+        elif args.command == "solve":
+            payload = _cmd_solve(data)
+        elif args.command == "oracle":
+            payload = _cmd_oracle(data, args.cap)
+        elif args.command == "circuits":
+            payload = _cmd_circuits(data)
         else:
-            data = _load(args.input)
-            if args.command == "certify":
-                payload = _cmd_certify(data)
-            elif args.command == "certs":
-                payload = _cmd_certs(data)
-            elif args.command == "feasible":
-                payload = _cmd_feasible(data, args.method)
-            elif args.command == "solve":
-                payload = _cmd_solve(data)
-            elif args.command == "oracle":
-                payload = _cmd_oracle(data, args.cap)
-            elif args.command == "circuits":
-                payload = _cmd_circuits(data)
-            elif args.command == "qpsolve":
-                payload = _cmd_qpsolve(data)
-            else:  # pragma: no cover - argparse enforces the choices
-                raise _UsageError(f"unknown command {args.command}")
+            payload = _cmd_qpsolve(data)
         text = serialize.dumps(payload)
-        if getattr(args, "output", None):
+        if args.output:
             Path(args.output).write_text(text)
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,22 +67,13 @@ class QpBoxInstance:
     family_circuits: tuple[Circuit, ...]
 
     @classmethod
-    def build(cls, vectors, target, lower, upper, primes=None) -> "QpBoxInstance":
+    def build(cls, vectors, target, lower, upper) -> "QpBoxInstance":
         vecs, w, lo, hi = _parse(vectors, target, lower, upper)
         for a, b in zip(lo, hi):
             if a > b:
                 raise PreconditionError(f"empty bound interval [{a}, {b}]")
         circs = tuple(circuits(vecs))
-        computed = prime_set_of_circuits(circs)
-        if primes is None:
-            primes = computed
-        else:
-            primes = PrimeSet(primes)
-            if not primes.issuperset(computed):
-                raise PreconditionError(
-                    "supplied prime set misses family primes "
-                    f"{sorted(set(computed) - set(primes))}"
-                )
+        primes = prime_set_of_circuits(circs)
         for x in lo + hi:
             if not in_qp(x, primes):
                 raise RingMembershipError(f"bound {x} is outside the ring")
@@ -531,13 +522,13 @@ class QpSolveResult:
     primes: PrimeSet
 
 
-def near_integers_solve(vectors, target, lower, upper, primes=None) -> QpSolveResult:
+def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
     """Full pipeline: ring-span check, rational feasibility, refinement.
 
     Completeness comes from the refinement guarantee: when both checks
     pass there is a ring solution in the box, and one is produced.
     """
-    inst = QpBoxInstance.build(vectors, target, lower, upper, primes)
+    inst = QpBoxInstance.build(vectors, target, lower, upper)
     system = _echelon_system(inst.vectors, inst.target)
     if _ring_coordinates(system, inst.size, inst.primes) is None:
         return QpSolveResult(False, "not-in-span", None, None, inst.primes)

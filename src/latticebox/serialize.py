@@ -100,10 +100,6 @@ def primes_to_json(primes: PrimeSet) -> list[str]:
     return [str(p) for p in primes]
 
 
-def primes_from_json(data) -> PrimeSet:
-    return PrimeSet(parse_int(p) for p in _array(data))
-
-
 def trace_to_json(trace: RefinementTrace) -> dict:
     steps = []
     for s in trace.steps:

@@ -98,6 +98,10 @@ def test_prime_set_validation():
         assert is_prime(n) == sympy.isprime(n), n
     with pytest.raises(ResourceLimitError):
         is_prime(10**12 + 39)
+    # 2^89 - 1 is prime, but proving it by trial division would take about
+    # 4·10^12 divisions; the factorization limit refuses it at once
+    with pytest.raises(ResourceLimitError, match=r"exceeds 1000000000000"):
+        PrimeSet([2, 3, 2**89 - 1])
 
 
 @pytest.mark.parametrize(
@@ -113,6 +117,15 @@ def test_in_qp_examples():
     assert in_qp(Fraction(3, 4), PrimeSet([2]))
     assert not in_qp(Fraction(1, 3), PrimeSet([2]))
     assert in_qp(5, PrimeSet())
+
+
+def test_in_qp_reads_its_argument_exactly():
+    # Fraction(0.1) has denominator 2^55, which would put the float 0.1
+    # in Z[1/2]; 1/10 is not there
+    with pytest.raises(ValueError):
+        in_qp(0.1, PrimeSet([2]))
+    assert not in_qp("1/10", PrimeSet([2]))
+    assert in_qp("1/4", PrimeSet([2]))
 
 
 def test_in_qp_ring_closure():

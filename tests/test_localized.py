@@ -401,8 +401,8 @@ def test_qp_solve_exact_matches_invariant_factors():
     assert verdicts == {True, False}
 
 
-def refine_instance(vectors, target, lower, upper, x, primes=None):
-    inst = QpBoxInstance.build(vectors, target, lower, upper, primes)
+def refine_instance(vectors, target, lower, upper, x):
+    inst = QpBoxInstance.build(vectors, target, lower, upper)
     y, trace = refine_to_qp(inst, x)
     for yi in y:
         assert in_qp(yi, inst.primes)
@@ -466,11 +466,6 @@ def test_refine_precondition_errors():
 def test_bounds_ring_validation():
     with pytest.raises(RingMembershipError):
         QpBoxInstance.build([(2,), (3,)], (1,), (0, F(1, 5)), (1, 1))
-    # supplied primes must cover the family primes
-    with pytest.raises(PreconditionError):
-        QpBoxInstance.build([(2,), (3,)], (1,), (0, 0), (1, 1), PrimeSet([5]))
-    # supersets are fine
-    QpBoxInstance.build([(2,), (3,)], (1,), (0, 0), (1, 1), PrimeSet([2, 3, 5]))
 
 
 def test_refine_shrunken_ring_pitfall_instance():
