@@ -7,7 +7,10 @@ simultaneous nonnegativity decides whether the lattice meets the box. The
 set depends only on the lattice, so it is generated once and reused across
 boxes. solve_box extracts an explicit witness by the same top-down
 recursion. As expressions, each bound is built once and shared by every
-certificate that uses it; serialization writes each one as a full tree.
+certificate that uses it, so a set is a DAG of node objects. Evaluation
+follows that sharing: it computes each distinct node once per box, where a
+walk of the full trees would repeat a shared bound for every use of it.
+Serialization still writes each expression as a full tree.
 
 Everything rests on one sign rule. A divisor v pins the multiplier t of
 t·v inside the box [a, b] to [L_i, U_i] on each nonzero coordinate i:
@@ -90,33 +93,66 @@ class Diff(Expr):
 
 
 def evaluate(expr: Expr, a, b) -> int:
-    """Exact recursive evaluation at lower bounds a and upper bounds b."""
+    """Exact evaluation at lower bounds a and upper bounds b.
+
+    Each distinct node object is computed once, however many parents share it.
+    """
+    return _evaluate(expr, a, b, {})
+
+
+def _evaluate(expr: Expr, a, b, memo: dict) -> int:
+    """evaluate with memo: id(node) -> value of the nodes already computed.
+
+    Keys are object ids, which Python reuses once an object is freed, so a
+    memo is valid only while the expressions it has seen are alive: one per
+    call, never kept.
+    """
+    value = memo.get(id(expr))
+    if value is not None:
+        return value
     if isinstance(expr, Lower):
-        return index(a[expr.i])
-    if isinstance(expr, Upper):
-        return index(b[expr.i])
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, a, b)
-    if isinstance(expr, FloorDiv):
-        return floor_div(evaluate(expr.arg, a, b), expr.m)
-    if isinstance(expr, CeilDiv):
-        return ceil_div(evaluate(expr.arg, a, b), expr.m)
-    if isinstance(expr, Diff):
-        return evaluate(expr.lhs, a, b) - evaluate(expr.rhs, a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
+        value = index(a[expr.i])
+    elif isinstance(expr, Upper):
+        value = index(b[expr.i])
+    elif isinstance(expr, Neg):
+        value = -_evaluate(expr.arg, a, b, memo)
+    elif isinstance(expr, FloorDiv):
+        value = floor_div(_evaluate(expr.arg, a, b, memo), expr.m)
+    elif isinstance(expr, CeilDiv):
+        value = ceil_div(_evaluate(expr.arg, a, b, memo), expr.m)
+    elif isinstance(expr, Diff):
+        value = _evaluate(expr.lhs, a, b, memo) - _evaluate(expr.rhs, a, b, memo)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    memo[id(expr)] = value
+    return value
 
 
 def expr_order(expr: Expr) -> int:
-    """Maximum floor/ceiling nesting depth along any root-to-leaf path."""
+    """Maximum floor/ceiling nesting depth along any root-to-leaf path.
+
+    Like evaluate, visits each distinct node object once.
+    """
+    return _order(expr, {})
+
+
+def _order(expr: Expr, memo: dict) -> int:
+    """expr_order with memo: id(node) -> order, valid for one call only."""
+    order = memo.get(id(expr))
+    if order is not None:
+        return order
     if isinstance(expr, (Lower, Upper)):
-        return 0
-    if isinstance(expr, Neg):
-        return expr_order(expr.arg)
-    if isinstance(expr, (FloorDiv, CeilDiv)):
-        return 1 + expr_order(expr.arg)
-    if isinstance(expr, Diff):
-        return max(expr_order(expr.lhs), expr_order(expr.rhs))
-    raise TypeError(f"not an expression node: {expr!r}")
+        order = 0
+    elif isinstance(expr, Neg):
+        order = _order(expr.arg, memo)
+    elif isinstance(expr, (FloorDiv, CeilDiv)):
+        order = 1 + _order(expr.arg, memo)
+    elif isinstance(expr, Diff):
+        order = max(_order(expr.lhs, memo), _order(expr.rhs, memo))
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    memo[id(expr)] = order
+    return order
 
 
 @dataclass(frozen=True)
@@ -221,12 +257,18 @@ def generate_certificates(cert: ChainCertificate) -> CertificateSet:
 
 
 def feasible_by_certificates(certs: CertificateSet, box: Box) -> bool:
-    """True iff every certificate expression is nonnegative at the bounds."""
+    """True iff every certificate expression is nonnegative at the bounds.
+
+    The expressions share subexpressions, and one memo spans the whole set,
+    so each distinct node is computed at most once for the box. Evaluation
+    stops at the first negative expression.
+    """
     if box.dim != certs.ambient_dim:
         raise DimensionError(
             f"box dimension {box.dim}, certificates expect {certs.ambient_dim}"
         )
-    return all(evaluate(e, box.lower, box.upper) >= 0 for e in certs.exprs)
+    a, b, memo = box.lower, box.upper, {}
+    return all(_evaluate(e, a, b, memo) >= 0 for e in certs.exprs)
 
 
 def _t_interval(div: DivisorVector, lower, upper):

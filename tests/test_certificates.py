@@ -4,10 +4,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from tree_oracle import tree_value
 
+from latticebox import certificates
 from latticebox.certificates import (
     Box,
     CeilDiv,
+    CertificateSet,
     Diff,
     Expr,
     FloorDiv,
@@ -77,6 +80,25 @@ def test_expr_order():
     nested = FloorDiv(Diff(FloorDiv(Upper(0), 2), Lower(1)), 3)
     assert expr_order(nested) == 2
     assert expr_order(Neg(nested)) == 2
+
+
+def test_shared_chain_is_walked_once():
+    # each level uses the one below twice, so each root stands for over 2^64
+    # tree nodes held in 129 objects (193 for f); a full-tree walk never ends
+    e = Upper(0)
+    for _ in range(64):
+        e = FloorDiv(Diff(e, e), 1)
+    assert expr_order(e) == 64
+    assert evaluate(e, (3,), (7,)) == 0
+    # floor((x - -x) / 2) == x keeps b_0 through every level
+    f = Upper(0)
+    for _ in range(64):
+        f = FloorDiv(Diff(f, Neg(f)), 2)
+    assert expr_order(f) == 64
+    assert evaluate(f, (3,), (7,)) == 7
+    certs = CertificateSet(1, 1, (e, f))
+    assert feasible_by_certificates(certs, Box.of((3,), (7,)))
+    assert not feasible_by_certificates(certs, Box.of((-9,), (-2,)))
 
 
 def test_expr_zero_divisor_rejected():
@@ -470,3 +492,89 @@ def test_dimension_mismatch():
         solve_box(chain, Box.of((0,), (1,)))
     with pytest.raises(DimensionError):
         brute_force_solve(lat, Box.of((0,), (1,)))
+
+
+REFERENCE = Lattice(4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+
+
+def test_feasible_divides_once_per_distinct_node(monkeypatch):
+    # on a feasible box every expression is evaluated, so the divisions are
+    # exactly the distinct FloorDiv and CeilDiv objects of the set; a walk of
+    # the full trees makes 15,490 of them
+    certs = generate_certificates(certify(REFERENCE))
+    seen = {}
+    for e in certs.exprs:
+        _nodes(e, seen)
+    divisions = sum(isinstance(node, (FloorDiv, CeilDiv)) for node in seen.values())
+    assert divisions == 82
+    calls = []
+
+    def counted(fn):
+        def wrapper(x, m):
+            calls.append(m)
+            return fn(x, m)
+
+        return wrapper
+
+    monkeypatch.setattr(certificates, "floor_div", counted(certificates.floor_div))
+    monkeypatch.setattr(certificates, "ceil_div", counted(certificates.ceil_div))
+    # (10^9 + 1, -999999998, 8, 10^9 + 3) is the member x, y, 2z, x + 2w
+    # with x = 10^9 + 1, y = -999999998, z = 4, w = 1
+    point = (10**9 + 1, -999999998, 8, 10**9 + 3)
+    box = Box.of([x - 1 for x in point], [x + 1 for x in point])
+    assert feasible_by_certificates(certs, box)
+    assert len(calls) == 82
+
+
+def _oracle_box(rng, lat):
+    # near a lattice point with coordinates around 10^9, shifted so it may
+    # miss the lattice; widths 0-3, and 1 box in 16 wide (10 to 10^4)
+    coeffs = [rng.randint(-10**9, 10**9) for _ in lat.basis]
+    point = [
+        sum(c * row[j] for c, row in zip(coeffs, lat.basis))
+        for j in range(lat.ambient_dim)
+    ]
+    lower = [x - rng.randint(0, 3) + (rng.random() < 0.25) for x in point]
+    if rng.randrange(16) == 0:
+        return Box.of(lower, [lo + rng.randint(10, 10**4) for lo in lower])
+    return Box.of(lower, [lo + rng.randint(0, 3) for lo in lower])
+
+
+def test_evaluate_matches_tree_oracle():
+    # the shared-node evaluation against a full-tree walk, expression by
+    # expression and as a verdict, on the reference lattice and seeded
+    # in-class chains of every rank 1-4
+    rng = random.Random(1818)
+    chains = [certify(REFERENCE)]
+    per_rank = {1: 0, 2: 0, 3: 0, 4: 0}
+    while min(per_rank.values()) < 6:
+        n = rng.randint(1, 5)
+        gens = [
+            [rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(n)]
+            for _ in range(rng.randint(1, n))
+        ]
+        lat = Lattice(n, gens)
+        if per_rank.get(lat.rank, 6) >= 6:
+            continue
+        try:
+            chain = certify(lat, max_dim=12)
+        except ResourceLimitError:
+            continue
+        if chain is not None:
+            chains.append(chain)
+            per_rank[lat.rank] += 1
+
+    verdicts = []
+    for chain in chains:
+        certs = generate_certificates(chain)
+        for _ in range(80):
+            box = _oracle_box(rng, chain.lattice)
+            a, b = box.lower, box.upper
+            values = [tree_value(e, a, b) for e in certs.exprs]
+            assert [evaluate(e, a, b) for e in certs.exprs] == values
+            verdict = feasible_by_certificates(certs, box)
+            assert verdict == all(v >= 0 for v in values)
+            verdicts.append(verdict)
+    assert len(verdicts) == 2000
+    assert 200 < sum(verdicts) < 1800
+
