@@ -17,6 +17,13 @@ to stay invertible, which any superset of the family's primes guarantees.
 So the trace records no per-step prime set: the one of any step is the
 prime set of the vectors still active there, which the pivots already in
 the trace determine.
+
+The exact rational box solution that the refinement starts from comes
+from a bounded-variable simplex that keeps every coordinate and bound as
+an integer numerator over one shared denominator. The elimination, the
+simplex, the equality checks and the ring tests compute on integers;
+Fraction values appear where the data enters and leaves (parsed input,
+returned coordinates, trace fields) and in the steps of _induct.
 """
 
 from __future__ import annotations
@@ -48,11 +55,21 @@ def _parse(vectors, target, *bounds):
 
 
 def _solves(vectors, target, x) -> bool:
-    """Whether sum(x_i v_i) = target exactly."""
-    return all(
-        sum(xi * v[j] for xi, v in zip(x, vectors)) == t
-        for j, t in enumerate(target)
-    )
+    """Whether sum(x_i v_i) = target exactly, tested on integers.
+
+    x is cleared of denominators once, by d; each equation, its column
+    and its target entry, once more, by e. Then sum(x_i v_ij) = t_j iff
+    the integer sum of (d·x_i)(e·v_ij) equals (e·t_j)·d.
+    """
+    d = lcm(*(xi.denominator for xi in x))
+    xs = [xi.numerator * (d // xi.denominator) for xi in x]
+    for j, t in enumerate(target):
+        col = [v[j] for v in vectors]
+        e = lcm(t.denominator, *(c.denominator for c in col))
+        total = sum(a * c.numerator * (e // c.denominator) for a, c in zip(xs, col))
+        if total != t.numerator * (e // t.denominator) * d:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -129,21 +146,43 @@ def _lexmin(system, lower, upper, order):
     improving index enters, and ratio-test ties go to the lowest index. So
     no basis repeats and every descent ends (Bland 1977). Every variable is
     boxed, so no descent is unbounded.
+
+    Every coordinate and bound is an integer numerator over one shared
+    positive denominator q, at first the lcm of the bound denominators.
+    Before an update that would leave a numerator fractional, every
+    numerator and q are multiplied by the smallest integer that keeps it
+    exact. Ratio-test rooms are compared by cross-multiplying. So each
+    comparison is between the same rationals as on Fraction values, and
+    only the returned vertex is made of Fractions.
     """
     m = len(lower)
     mat, pivots = system
     basis = list(pivots)
-    x = list(lower)
-    for row, b in zip(mat, basis):
-        x[b] += (row[m] - sum(a * xi for a, xi in zip(row, lower))) / row[b]
-    rows = [row[:m] for row in mat[: len(basis)]]
+    top = mat[: len(basis)]
+    rows = [row[:m] for row in top]
     where = {b: r for r, b in enumerate(basis)}
-    lo = [min(a, xi) for a, xi in zip(lower, x)]
-    hi = [max(b, xi) for b, xi in zip(upper, x)]
+    q = lcm(*(a.denominator for a in (*lower, *upper)))
+    low = [a.numerator * (q // a.denominator) for a in lower]
+    up = [a.numerator * (q // a.denominator) for a in upper]
+    # x_b starts at lower_b + s/row[b] over q; scaling q by f keeps it integral
+    starts = [row[m] * q - sum(a * c for a, c in zip(row, low)) for row in top]
+    f = lcm(*(row[b] // gcd(s, row[b]) for row, b, s in zip(top, basis, starts)))
+    q, low, up = q * f, [f * a for a in low], [f * a for a in up]
+    x = list(low)
+    for row, b, s in zip(top, basis, starts):
+        x[b] += s * f // row[b]
+    lo = [min(a, xi) for a, xi in zip(low, x)]
+    hi = [max(b, xi) for b, xi in zip(up, x)]
+
+    def rescale(c):
+        nonlocal q
+        q *= c
+        for v in (x, lo, hi, low, up):
+            v[:] = [c * a for a in v]
 
     def descend(k, sign, goal):
-        # Pivot until sign·x_k <= sign·goal or no move lowers sign·x_k.
-        while x[k] > goal if sign > 0 else x[k] < goal:
+        # Pivot until sign·x_k <= sign·goal[k] or no move lowers sign·x_k.
+        while x[k] > goal[k] if sign > 0 else x[k] < goal[k]:
             if k in where:
                 grad = [-sign * a for a in rows[where[k]]]
             else:
@@ -159,19 +198,35 @@ def _lexmin(system, lower, upper, order):
                     break
             else:
                 return
-            reach, leave = hi[j] - lo[j], None
+            # the reach is num/den over q, den > 0
+            num, den, leave = hi[j] - lo[j], 1, None
             for r, b in enumerate(basis):
                 rate = -step * rows[r][j]
                 if rate == 0:
                     continue
-                room = ((hi[b] if rate > 0 else lo[b]) - x[b]) * rows[r][b] / rate
-                if room < reach or (
-                    room == reach and leave is not None and b < basis[leave]
+                if rate > 0:
+                    room = (hi[b] - x[b]) * rows[r][b]
+                else:
+                    room, rate = (x[b] - lo[b]) * rows[r][b], -rate
+                if room * den < num * rate or (
+                    room * den == num * rate
+                    and leave is not None
+                    and b < basis[leave]
                 ):
-                    reach, leave = room, r
-            x[j] += step * reach
-            for r, b in enumerate(basis):
-                x[b] -= step * reach * rows[r][j] / rows[r][b]
+                    num, den, leave = room, rate, r
+            # Scale q by den·h: then the reach is num·h and every basic
+            # change num·h·row[j]/row[b] is an integer.
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            h = lcm(
+                *(row[b] // gcd(num * row[j], row[b]) for row, b in zip(rows, basis))
+            )
+            if den * h > 1:
+                rescale(den * h)
+            move = step * num * h
+            x[j] += move
+            for row, b in zip(rows, basis):
+                x[b] -= move * row[j] // row[b]
             if leave is None:
                 continue
             if rows[leave][j] < 0:
@@ -184,15 +239,15 @@ def _lexmin(system, lower, upper, order):
             where[j] = leave
 
     for k in range(m):
-        for sign, bound in ((1, upper[k]), (-1, lower[k])):
+        for sign, bound in ((1, up), (-1, low)):
             descend(k, sign, bound)
-            if x[k] > bound if sign > 0 else x[k] < bound:
+            if x[k] > bound[k] if sign > 0 else x[k] < bound[k]:
                 return None
-        lo[k], hi[k] = lower[k], upper[k]
+        lo[k], hi[k] = low[k], up[k]
     for k in order:
-        descend(k, 1, lo[k])
+        descend(k, 1, lo)
         lo[k] = hi[k] = x[k]
-    return x
+    return [Fraction(a, q) for a in x]
 
 
 def rational_box_solve(vectors, target, lower, upper):
@@ -205,6 +260,9 @@ def rational_box_solve(vectors, target, lower, upper):
     the equalities, taken last column first: a pivot row is zero left of
     its pivot and in the other pivot columns, so each pivot coordinate is
     fixed by the free coordinates to its right before its own turn comes.
+    The simplex runs on integer numerators over one common denominator;
+    the vertex comes back as Fractions, and _solves re-checks it on
+    integers before it is returned.
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
     return _box_solve(vecs, w, lo, hi, _echelon_system(vecs, w))

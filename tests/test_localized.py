@@ -12,10 +12,11 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from latticebox import localized
-from latticebox.arith import PrimeSet, in_qp
+from latticebox.arith import PrimeSet, eliminate, in_qp
 from latticebox.circuits import circuits, prime_set
 from latticebox.errors import (
     DimensionError,
+    InconsistencyError,
     LatticeBoxError,
     PreconditionError,
     RingMembershipError,
@@ -30,6 +31,7 @@ from latticebox.localized import (
     refine_to_qp,
 )
 from latticebox.serialize import primes_to_json, rationals_to_json, trace_to_json
+import lexmin_oracle
 
 F = Fraction
 
@@ -256,6 +258,153 @@ def test_integral_fallback_is_lexmin_vertex():
         assert all(type(xi) is F for xi in got)
         assert [s.case for s in steps] == ["integral_fallback"]
         done += 1
+
+
+def _lexmin_instance(rng):
+    # a family (integer, rational or degenerate) with bounds around a hidden
+    # point: integer bounds or rational ones with denominators 2-6, a fixed
+    # coordinate in some, and a target off the hidden point in others
+    n, m = rng.randint(1, 3), rng.randint(1, 6)
+    kind = rng.randrange(3)
+    if kind == 0:
+        vecs = [tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)]
+    elif kind == 1:
+        vecs = [
+            tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n))
+            for _ in range(m)
+        ]
+    else:
+        vecs = _degenerate_vectors(rng, n, m)
+    hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+    if rng.random() < 0.2:
+        target = [F(rng.randint(-8, 8)) for _ in range(n)]
+    else:
+        target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
+    if rng.random() < 0.5:
+        lower = [F(floor(h) - rng.randint(0, 2)) for h in hidden]
+        upper = [F(ceil(h) + rng.randint(0, 2)) for h in hidden]
+    else:
+        dens = [rng.randint(2, 6) for _ in hidden]
+        lower = [F(floor(h * d) - rng.randint(0, 6), d) for h, d in zip(hidden, dens)]
+        upper = [F(ceil(h * d) + rng.randint(0, 6), d) for h, d in zip(hidden, dens)]
+    fixed = rng.random() < 0.25
+    if fixed:
+        i = rng.randrange(m)
+        upper[i] = lower[i]
+    return vecs, target, lower, upper, fixed
+
+
+def test_lexmin_matches_fraction_oracle(monkeypatch):
+    # the integer simplex must take the pivot path of the Fraction one:
+    # the same vertex, or None, and the same arith.eliminate calls in the
+    # same order, on both the last-first and the first-first order
+    calls = {"int": [], "oracle": []}
+
+    def recorded(side):
+        def wrapper(row, pivot_row, col):
+            calls[side].append((tuple(row), tuple(pivot_row), col))
+            return eliminate(row, pivot_row, col)
+
+        return wrapper
+
+    monkeypatch.setattr(localized, "eliminate", recorded("int"))
+    monkeypatch.setattr(lexmin_oracle, "eliminate", recorded("oracle"))
+    rng = random.Random(24021)
+    seen = Counter()
+    done = 0
+    while done < 5000:
+        vecs, target, lower, upper, fixed = _lexmin_instance(rng)
+        system = _echelon_system(vecs, target)
+        if system is None:
+            continue
+        m = len(vecs)
+        for order in (range(m - 1, -1, -1), range(m)):
+            calls["int"].clear()
+            calls["oracle"].clear()
+            got = localized._lexmin(system, lower, upper, order)
+            want = lexmin_oracle.lexmin(system, lower, upper, order)
+            assert got == want
+            assert calls["int"] == calls["oracle"]
+            if got is None:
+                seen["infeasible"] += 1
+            else:
+                assert all(type(xi) is F for xi in got)
+                seen["solved"] += 1
+                seen["fixed"] += fixed
+                seen["fractional"] += any(xi.denominator > 1 for xi in got)
+            seen["eliminate"] += len(calls["int"])
+        seen["rational bounds"] += any(a.denominator > 1 for a in lower + upper)
+        done += 1
+    assert seen["infeasible"] > 1000 and seen["solved"] > 5000
+    assert seen["fixed"] > 500 and seen["fractional"] > 3000
+    assert seen["rational bounds"] > 1000 and seen["eliminate"] > 5000
+
+
+def _fraction_solves(vectors, target, x):
+    return all(
+        sum(xi * v[j] for xi, v in zip(x, vectors)) == t
+        for j, t in enumerate(target)
+    )
+
+
+def test_solves_matches_fraction_sums():
+    rng = random.Random(24022)
+    seen = Counter()
+    for _ in range(2000):
+        n, m = rng.randint(0, 3), rng.randint(0, 5)
+        vecs = [
+            tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n))
+            for _ in range(m)
+        ]
+        x = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+        target = [sum(xi * v[j] for xi, v in zip(x, vecs)) for j in range(n)]
+        assert localized._solves(vecs, target, x)
+        if n and rng.random() < 0.5:
+            target[rng.randrange(n)] += F(rng.randint(-3, 3), rng.randint(1, 6))
+        got = localized._solves(vecs, target, x)
+        assert got == _fraction_solves(vecs, target, x)
+        seen[got] += 1
+        # one coordinate off by 1/q, q the common denominator of x, misses
+        # every equation its nonzero vector takes part in
+        live = [i for i, v in enumerate(vecs) if any(v)]
+        if live and got:
+            i = rng.choice(live)
+            near = list(x)
+            near[i] += F(1, lcm(*(xi.denominator for xi in x)))
+            assert not localized._solves(vecs, target, near)
+            assert not _fraction_solves(vecs, target, near)
+            seen["near miss"] += 1
+    assert seen[True] > 500 and seen[False] > 500 and seen["near miss"] > 500
+    # the empty family and zero-length vectors
+    assert localized._solves([], [F(0), F(0)], [])
+    assert not localized._solves([], [F(0), F(1, 3)], [])
+    assert localized._solves([(), ()], [], [F(1, 2), F(-3)])
+    assert localized._solves([], [], [])
+
+
+def test_box_solve_guards(monkeypatch):
+    lexmin = localized._lexmin
+
+    def nudged(system, lower, upper, order):
+        x = lexmin(system, lower, upper, order)
+        return [x[0] + F(1, 7), *x[1:]]
+
+    monkeypatch.setattr(localized, "_lexmin", nudged)
+    with pytest.raises(InconsistencyError, match="simplex vertex lost the equalities"):
+        rational_box_solve([(2,), (3,)], (1,), (0, 0), (1, 1))
+    # (2, -1) meets x_0 + x_1 = 1 outside the box [0, 1]^2
+    monkeypatch.setattr(localized, "_lexmin", lambda *args: [F(2), F(-1)])
+    with pytest.raises(InconsistencyError, match="out-of-box point"):
+        rational_box_solve([[1], [1]], [1], [0, 0], [1, 1])
+
+
+def test_empty_families_keep_their_answers():
+    # the lcm over no denominators is 1
+    assert rational_box_solve([], [0], [], []) == []
+    assert rational_box_solve([], [1], [], []) is None
+    res = near_integers_solve([[], []], [], [0, 0], [1, 1])
+    assert res.solvable and res.solution == (F(0), F(0))
+    assert [s.case for s in res.trace.steps] == ["integral_fallback"]
 
 
 def test_qp_solve_exact_examples():
