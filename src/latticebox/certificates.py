@@ -316,8 +316,6 @@ def solve_box(cert: ChainCertificate, box: Box):
     if any(lo > hi for lo, hi in bounds.values()):
         return None
     red_lo, red_hi = _reduced_bounds(div, bounds, a, b, sub)
-    if any(lo > hi for lo, hi in zip(red_lo, red_hi)):
-        return None
     z = solve_box(cert.child, Box.of(red_lo, red_hi))
     if z is None:
         return None

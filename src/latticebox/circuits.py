@@ -73,6 +73,9 @@ def _extend(pending, at, n):
 def circuits(vectors) -> list[Circuit]:
     """All circuits of the family, ordered by support.
 
+    The walk takes candidates in increasing index order and finishes each
+    subtree before the next one, so supports come out sorted with no sort.
+
     Each vector's denominators are cleared by the lcm of its entries'
     denominators. The search runs on integer rows: the cleared vector
     followed by a combination part, at first the unit vector of its index.
@@ -106,10 +109,11 @@ def circuits(vectors) -> list[Circuit]:
     rank = len(echelon(rows, n)[1])
     if rank > MAX_FAMILY_RANK:
         raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
-    scales = [lcm(*(x.denominator for x in row)) if row else 1 for row in rows]
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
     root = []
     for j, (row, s) in enumerate(zip(rows, scales)):
-        r = [int(x * s) for x in row] + [int(i == j) for i in range(m)]
+        r = [x.numerator * (s // x.denominator) for x in row]
+        r += [int(i == j) for i in range(m)]
         root.append((j, r, _pivot(r, n)))
 
     out = []
@@ -130,7 +134,6 @@ def circuits(vectors) -> list[Circuit]:
             out.append(Circuit(support, tuple(sign * x // g for x in raw)))
 
     walk((), root)
-    out.sort(key=lambda c: c.support)
     return out
 
 

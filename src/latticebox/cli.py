@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 malformed input or violated precondition,
 2 resource limit exceeded, 3 internal inconsistency.
+
+One table, _COMMANDS, drives both build_parser and main. The exit-code
+rule is main's one except clause: "error: ..." on stderr, then 3 for an
+InconsistencyError, 2 for a ResourceLimitError and 1 for any other error.
 """
 
 from __future__ import annotations
@@ -40,29 +44,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="latticebox", description=__doc__)
+    # --help shows the docstring's first two paragraphs, not its notes
+    parser = _Parser(prog="latticebox", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to the JSON instance")
         p.add_argument("--output", help="also write the JSON result to this path")
-        return p
-
-    add("certify", "decide whether the lattice admits a divisor chain")
-    add("certs", "emit the certificate expression set for a certified lattice")
-    p = add("feasible", "decide whether the lattice meets the box")
-    p.add_argument("--method", choices=("cert", "recursive", "oracle"), default="cert")
-    add("solve", "a lattice point in the box, by the divisor-chain recursion")
-    p = add("oracle", "brute-force scan of the box")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-    add("circuits", "elementary relations and the prime set of a family")
-    add("qpsolve", "restricted-denominator box solving")
+    sub.choices["feasible"].add_argument(
+        "--method", choices=("cert", "recursive", "oracle"), default="cert"
+    )
+    sub.choices["oracle"].add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     return parser
-
-
-def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def _lattice_box(data):
@@ -78,7 +71,7 @@ def _need_chain(lat):
     return chain
 
 
-def _cmd_certify(data) -> dict:
+def _cmd_certify(data, args) -> dict:
     lat = serialize.lattice_from_json(data)
     chain = certify(lat)
     if chain is None:
@@ -90,33 +83,33 @@ def _cmd_certify(data) -> dict:
     }
 
 
-def _cmd_certs(data) -> dict:
+def _cmd_certs(data, args) -> dict:
     lat = serialize.lattice_from_json(data)
     chain = _need_chain(lat)
     return serialize.certset_to_json(generate_certificates(chain))
 
 
-def _cmd_feasible(data, method: str) -> dict:
+def _cmd_feasible(data, args) -> dict:
     lat, box = _lattice_box(data)
-    if method == "oracle":
+    if args.method == "oracle":
         verdict = brute_force_solve(lat, box) is not None
     else:
         chain = _need_chain(lat)
-        if method == "cert":
+        if args.method == "cert":
             verdict = feasible_by_certificates(generate_certificates(chain), box)
         else:
             verdict = solve_box(chain, box) is not None
     return {"feasible": verdict}
 
 
-def _cmd_solve(data) -> dict:
+def _cmd_solve(data, args) -> dict:
     lat, box = _lattice_box(data)
     return _witness_json(solve_box(_need_chain(lat), box))
 
 
-def _cmd_oracle(data, cap: int) -> dict:
+def _cmd_oracle(data, args) -> dict:
     lat, box = _lattice_box(data)
-    return _witness_json(brute_force_solve(lat, box, cap=cap))
+    return _witness_json(brute_force_solve(lat, box, cap=args.cap))
 
 
 def _witness_json(witness) -> dict:
@@ -125,7 +118,7 @@ def _witness_json(witness) -> dict:
     return {"feasible": True, "witness": [str(x) for x in witness]}
 
 
-def _cmd_circuits(data) -> dict:
+def _cmd_circuits(data, args) -> dict:
     vectors = [serialize.rationals_from_json(v) for v in data["vectors"]]
     found = circuits(vectors)
     return {
@@ -134,7 +127,7 @@ def _cmd_circuits(data) -> dict:
     }
 
 
-def _cmd_qpsolve(data) -> dict:
+def _cmd_qpsolve(data, args) -> dict:
     vectors = [serialize.rationals_from_json(v) for v in data["vectors"]]
     target = serialize.rationals_from_json(data["target"])
     lower = serialize.rationals_from_json(data["lower"])
@@ -157,41 +150,28 @@ def _cmd_qpsolve(data) -> dict:
     }
 
 
+_COMMANDS = {
+    "certify": (_cmd_certify, "decide whether the lattice admits a divisor chain"),
+    "certs": (_cmd_certs, "emit the certificate expression set for a certified lattice"),
+    "feasible": (_cmd_feasible, "decide whether the lattice meets the box"),
+    "solve": (_cmd_solve, "a lattice point in the box, by the divisor-chain recursion"),
+    "oracle": (_cmd_oracle, "brute-force scan of the box"),
+    "circuits": (_cmd_circuits, "elementary relations and the prime set of a family"),
+    "qpsolve": (_cmd_qpsolve, "restricted-denominator box solving"),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        data = _load(args.input)
-        if args.command == "certify":
-            payload = _cmd_certify(data)
-        elif args.command == "certs":
-            payload = _cmd_certs(data)
-        elif args.command == "feasible":
-            payload = _cmd_feasible(data, args.method)
-        elif args.command == "solve":
-            payload = _cmd_solve(data)
-        elif args.command == "oracle":
-            payload = _cmd_oracle(data, args.cap)
-        elif args.command == "circuits":
-            payload = _cmd_circuits(data)
-        else:
-            payload = _cmd_qpsolve(data)
-        text = serialize.dumps(payload)
+        args = build_parser().parse_args(argv)
+        handler, _ = _COMMANDS[args.command]
+        data = json.loads(Path(args.input).read_text())
+        text = serialize.dumps(handler(data, args))
         if args.output:
             Path(args.output).write_text(text)
-    except InconsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
+        _UsageError,
         OSError,
-        json.JSONDecodeError,
         KeyError,
         TypeError,
         ValueError,
@@ -199,7 +179,9 @@ def main(argv=None) -> int:
         LatticeBoxError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, InconsistencyError):
+            return 3
+        return 2 if isinstance(exc, ResourceLimitError) else 1
     sys.stdout.write(text)
     return 0
 

@@ -16,6 +16,7 @@ from latticebox.arith import (
     format_rational,
     in_qp,
     is_prime,
+    parse_int,
     parse_rational,
 )
 from latticebox.errors import ResourceLimitError
@@ -276,3 +277,14 @@ def test_eliminate_keeps_row_sign():
         assert out[col] == 0
         for c in others:
             assert (out[c] > 0) == (row[c] > 0) and (out[c] < 0) == (row[c] < 0)
+
+
+@pytest.mark.parametrize(
+    "parse, value",
+    [(parse_int, True), (parse_int, 1.5), (parse_rational, True)],
+    ids=["int-bool", "int-float", "rational-bool"],
+)
+def test_parsers_refuse_bools_and_floats(parse, value):
+    # True is an int to Python and 1.5 would truncate; neither is JSON input
+    with pytest.raises(ValueError, match="not an integer|not a rational"):
+        parse(value)

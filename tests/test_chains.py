@@ -335,3 +335,8 @@ def test_sign_partition():
     dv = DivisorVector.of((2, -3, 0))
     assert dv.pos == (0,) and dv.neg == (1,) and dv.zero == (2,)
     assert dv.pairs == ((0, 1),)
+
+
+def test_divisor_vector_must_be_nonzero():
+    with pytest.raises(ValueError, match="must be nonzero"):
+        DivisorVector.of((0, 0))

@@ -8,7 +8,7 @@ import pytest
 
 from latticebox.arith import PrimeSet
 from latticebox.circuits import Circuit, circuits, prime_set
-from latticebox.errors import ResourceLimitError
+from latticebox.errors import DimensionError, ResourceLimitError
 
 
 def brute_circuits(vectors):
@@ -279,3 +279,8 @@ def test_circuits_digest():
         hashlib.sha256(repr(outputs).encode()).hexdigest()
         == "70117e4430f485a76f48452945f22d8842a3709bcc9592ef2cc91d1bc3de35b3"
     )
+
+
+def test_family_vectors_must_share_a_length():
+    with pytest.raises(DimensionError, match="differ in length"):
+        circuits([(1, 2), (1,)])

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from latticebox import cli
 from latticebox.cli import main
+from latticebox.errors import InconsistencyError
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -203,8 +205,10 @@ def test_exit_code_usage_error(tmp_path, command):
     [
         ["certify", "lattice_span_2408.json", "--seed", "3"],
         ["solve", "rank2_nested.json", "--method", "cert"],
+        ["certs", "lattice_span_2408.json", "--method", "cert"],
+        ["solve", "rank2_nested.json", "--cap", "5"],
     ],
-    ids=["certify-seed", "solve-method"],
+    ids=["certify-seed", "solve-method", "certs-method", "solve-cap"],
 )
 def test_unsupported_flags_are_usage_errors(argv):
     # certify has no seed, and solve has one route: neither takes a flag
@@ -322,3 +326,62 @@ def test_qpsolve_ignores_a_prime_set_key(tmp_path):
     rc, out, _ = run_cli(["qpsolve", str(path)])
     assert rc == 0
     assert out == (CORPUS / "expected" / "qp_two_three__qpsolve.json").read_text()
+
+
+def test_exit_code_inconsistency(monkeypatch):
+    def broken(lat):
+        raise InconsistencyError("invariant broken")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    rc, out, err = run_cli(
+        ["certify", str(CORPUS / "instances" / "lattice_span_2408.json")]
+    )
+    assert rc == 3 and out == ""
+    assert err == "error: invariant broken\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certs"], ["solve"], ["feasible", "--method", "cert"]],
+    ids=["certs", "solve", "feasible-cert"],
+)
+def test_no_chain_is_a_precondition_error(tmp_path, argv):
+    path = CORPUS / "instances" / "lattice_no_chain.json"
+    if argv[0] != "certs":
+        box = {"lower": ["0", "0"], "upper": ["3", "3"]}
+        instance = {"lattice": json.loads(path.read_text()), "box": box}
+        path = tmp_path / "no_chain_box.json"
+        path.write_text(json.dumps(instance))
+    rc, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    assert rc == 1 and out == ""
+    assert "admits no divisor chain" in err
+
+
+def test_help_lists_the_commands_in_order():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    names = "certify,certs,feasible,solve,oracle,circuits,qpsolve"
+    assert "{" + names + "}" in buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command,instance",
+    [
+        ("certify", "lattice_span_2408.json"),
+        ("certs", "lattice_span_2408.json"),
+        ("feasible", "rank1_mixed.json"),
+        ("solve", "rank1_mixed.json"),
+        ("oracle", "rank1_mixed.json"),
+        ("circuits", "family_two_three.json"),
+        ("qpsolve", "qp_two_three.json"),
+    ],
+)
+def test_every_command_takes_output(tmp_path, command, instance):
+    out_path = tmp_path / "result.json"
+    rc, out, _ = run_cli(
+        [command, str(CORPUS / "instances" / instance), "--output", str(out_path)]
+    )
+    assert rc == 0 and out
+    assert out_path.read_text() == out

@@ -108,3 +108,10 @@ def test_member_iff_solve_property():
         integral = rational and all(row[k].denominator == 1 for row in mat[:k])
         assert integral == lat.member(w)
 
+
+
+def test_dimension_errors():
+    with pytest.raises(DimensionError, match="must be nonnegative"):
+        Lattice(-1)
+    with pytest.raises(DimensionError, match="length 1, expected 2"):
+        Lattice(2, [(1, 0)]).member((1,))

@@ -1081,3 +1081,15 @@ def test_case1_guard_matches_fresh_elimination(monkeypatch):
         digest.hexdigest()
         == "73eade3e28c503235aba4932cace53ea619af8cd0a4b91e7ca6c7dc80ad12213"
     )
+
+
+def test_build_rejects_an_empty_bound_interval():
+    with pytest.raises(PreconditionError, match="empty bound interval"):
+        QpBoxInstance.build([(1,), (1,)], (1,), (1, 0), (0, 1))
+
+
+def test_refine_rejects_a_target_outside_the_ring_span():
+    # 2·x = 1 needs x = 1/2, and the family's prime set is empty
+    inst = QpBoxInstance.build([(2,)], (1,), (0,), (1,))
+    with pytest.raises(PreconditionError, match="target is outside the ring span"):
+        refine_to_qp(inst, (Fraction(1, 2),))
