@@ -76,9 +76,10 @@ def circuits(vectors) -> list[Circuit]:
     The walk takes candidates in increasing index order and finishes each
     subtree before the next one, so supports come out sorted with no sort.
 
-    Each vector's denominators are cleared by the lcm of its entries'
-    denominators. The search runs on integer rows: the cleared vector
-    followed by a combination part, at first the unit vector of its index.
+    Every vector is cleared by one denominator, the lcm of all the family's
+    denominators: a uniform scale changes no relation. The search runs on
+    integer rows: the cleared vector followed by a combination part, at
+    first the unit vector of its index.
 
     It is a depth-first walk over the independent sets S, each taken in
     increasing index order. A node holds, for every candidate j > max(S),
@@ -95,23 +96,22 @@ def circuits(vectors) -> list[Circuit]:
     its sorted proper prefixes are independent, so the walk reaches the
     longest of them once and tests the last index there.
 
-    Both family limits are checked before the walk, the rank by one
-    echelon pass. The relation is mapped back to the original vectors by
-    each vector's clearing scale, then made primitive with the first
-    coefficient positive. A zero vector yields the singleton relation
-    1·v = 0.
+    The size limit is checked before the walk, the rank limit on its first
+    descent: that descent takes the first independent candidate at every
+    level, so it reaches depth rank before it backtracks, after at most
+    m·(MAX_FAMILY_RANK + 1) row operations. Only a refusal runs echelon, on
+    the pending rows, for the exact rank in its message. Each relation is
+    made primitive with the first coefficient positive. A zero vector
+    yields the singleton relation 1·v = 0.
     """
     rows = _as_fraction_rows(vectors)
     m = len(rows)
     if m > MAX_FAMILY_SIZE:
         raise ResourceLimitError(f"family size {m} exceeds {MAX_FAMILY_SIZE}")
     n = len(rows[0]) if rows else 0
-    rank = len(echelon(rows, n)[1])
-    if rank > MAX_FAMILY_RANK:
-        raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    s = lcm(*(x.denominator for row in rows for x in row))
     root = []
-    for j, (row, s) in enumerate(zip(rows, scales)):
+    for j, row in enumerate(rows):
         r = [x.numerator * (s // x.denominator) for x in row]
         r += [int(i == j) for i in range(m)]
         root.append((j, r, _pivot(r, n)))
@@ -119,14 +119,16 @@ def circuits(vectors) -> list[Circuit]:
     out = []
 
     def walk(chosen, pending):
+        if len(chosen) > MAX_FAMILY_RANK:
+            # the pending rows are zero on the chosen pivots: their ranks add
+            rank = len(chosen) + len(echelon([r[:n] for _, r, _ in pending], n)[1])
+            raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
         for at, (j, row, col) in enumerate(pending):
             if col is not None:
                 walk(chosen + (j,), _extend(pending, at, n))
                 continue
             support = chosen + (j,)
-            # the relation on the cleared vectors; on the originals each
-            # coefficient picks up its vector's clearing factor
-            raw = [row[n + i] * scales[i] for i in support]
+            raw = [row[n + i] for i in support]
             if 0 in raw:
                 continue
             g = gcd(*raw)

@@ -342,14 +342,11 @@ def _fix_column(rows, pivots, h, value) -> bool:
     row leaves; False then means its right-hand side is nonzero, so the new
     target is outside the span. rows and pivots are updated in place.
     """
-    num, den = value.numerator, value.denominator
     for r, row in enumerate(rows):
         if row[h]:
-            out = [den * a for a in row]
-            out[-1] -= num * row[h]
-            out[h] = 0
-            g = gcd(*out)
-            rows[r] = [a // g for a in out] if g > 1 else out
+            fix = [0] * len(row)
+            fix[h], fix[-1] = value.denominator, value.numerator
+            rows[r] = eliminate(row, fix, h)
     if h not in pivots:
         return True
     r = pivots.index(h)
@@ -461,36 +458,33 @@ def _induct(
     pivots = list(pivots)
 
     while active:
-        if len(active) == 1:
-            i = active[0]
-            if all(v == 0 for v in inst.vectors[i]):
-                # the residual target: what the fixed coordinates leave over
-                if any(
-                    t != sum(x * inst.vectors[h][j] for h, x in result.items())
-                    for j, t in enumerate(inst.target)
-                ):
-                    raise InconsistencyError("nonzero target over a zero vector")
-                result[i] = inst.lower[i]
-                steps.append(RefineStep(case="base", pivot=i))
-            else:
-                if not in_qp(cur[i], primes):
-                    raise InconsistencyError(
-                        "forced single coefficient is outside the ring"
-                    )
-                result[i] = cur[i]
-                steps.append(RefineStep(case="base", pivot=i))
-            break
-
         if not inside:
             # Independent subfamily: the coefficients are forced, and ring
-            # span membership forces them into the ring.
+            # span membership forces them into the ring. One nonzero vector
+            # left is the base case.
             for i in active:
                 if not in_qp(cur[i], primes):
                     raise InconsistencyError(
                         "independent coefficients are outside the ring"
                     )
                 result[i] = cur[i]
-            steps.append(RefineStep(case="independent"))
+            if len(active) == 1:
+                steps.append(RefineStep(case="base", pivot=active[0]))
+            else:
+                steps.append(RefineStep(case="independent"))
+            break
+
+        if len(active) == 1:
+            # a zero vector: its singleton circuit 1·v = 0 is still inside
+            i = active[0]
+            # the residual target: what the fixed coordinates leave over
+            if any(
+                t != sum(x * inst.vectors[h][j] for h, x in result.items())
+                for j, t in enumerate(inst.target)
+            ):
+                raise InconsistencyError("nonzero target over a zero vector")
+            result[i] = inst.lower[i]
+            steps.append(RefineStep(case="base", pivot=i))
             break
 
         h = next((i for i in active if in_qp(cur[i], primes)), None)

@@ -1,11 +1,14 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 import pytest
+from rref_oracle import rref
 
+from latticebox import arith
 from latticebox.arith import PrimeSet
 from latticebox.circuits import Circuit, circuits, prime_set
 from latticebox.errors import DimensionError, ResourceLimitError
@@ -33,32 +36,21 @@ def brute_circuits(vectors):
     return out
 
 
-def _kernel(vecs, subset):
+def _columns(vecs, subset):
     n = len(vecs[0]) if vecs else 0
+    return [[vecs[i][j] for i in subset] for j in range(n)]
+
+
+def _kernel(vecs, subset):
     k = len(subset)
-    mat = [[vecs[i][j] for i in subset] for j in range(n)]
-    pivots = []
-    rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if k - rank != 1:
+    mat, pivots = rref(_columns(vecs, subset), k)
+    if k - len(pivots) != 1:
         return None
     free = next(c for c in range(k) if c not in pivots)
     vec = [Fraction(0)] * k
     vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -mat[r][free]
+    for row, col in zip(mat, pivots):
+        vec[col] = -row[free]
     return vec
 
 
@@ -103,22 +95,7 @@ def test_circuit_exactness_and_minimality():
 
 
 def _rank_of(vecs, subset):
-    n = len(vecs[0])
-    mat = [[vecs[i][j] for i in subset] for j in range(n)]
-    rank = 0
-    for col in range(len(subset)):
-        pivot = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+    return len(rref(_columns(vecs, subset), len(subset))[1])
 
 
 def test_circuits_match_brute_force():
@@ -221,14 +198,59 @@ def test_prime_set_monotone_in_circuits():
             assert partial <= full
 
 
-def test_family_limits():
+def test_family_limits(monkeypatch):
     with pytest.raises(ResourceLimitError):
         circuits([(1,)] * 21)
-    # rank 9 is refused before any enumeration, even with 20 vectors
+    # rank 9 is refused on the walk's first descent, even with 20 vectors
     rng = random.Random(9)
     generic = [[rng.randint(-9, 9) for _ in range(9)] for _ in range(20)]
     with pytest.raises(ResourceLimitError, match="rank 9 exceeds 8"):
         circuits(generic)
+
+    # the module, not the circuits function that latticebox re-exports
+    mod = sys.modules["latticebox.circuits"]
+    walked = []
+    ranked = []
+
+    def counting_eliminate(*args):
+        walked.append(1)
+        return arith.eliminate(*args)
+
+    def counting_echelon(*args):
+        ranked.append(len(walked))
+        return arith.echelon(*args)
+
+    monkeypatch.setattr(mod, "eliminate", counting_eliminate)
+    monkeypatch.setattr(mod, "echelon", counting_echelon)
+
+    # above the limit the message keeps the exact rank, and the walk makes
+    # at most 19 + 18 + ... + 11 = 135 row operations before it is refused
+    basis = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(12)]
+    families = {
+        12: [[rng.randint(-9, 9) for _ in range(12)] for _ in range(20)],
+        20: [[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)],
+    }
+    embedded = [
+        [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(20)]
+        for coeffs in families[12]
+    ]
+    for rank, family in [*families.items(), (12, embedded)]:
+        walked.clear()
+        ranked.clear()
+        with pytest.raises(ResourceLimitError, match=f"rank {rank} exceeds 8"):
+            circuits(family)
+        assert len(ranked) == 1
+        assert ranked[0] == len(walked) <= 135
+
+    # within the limits the walk alone checks the rank: no echelon pass
+    ranked.clear()
+    circuits([[rng.randint(-9, 9) for _ in range(8)] for _ in range(12)])
+    circuits([
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)]
+        for _ in range(9)
+    ])
+    circuits([(1,)] * 20)
+    assert ranked == []
 
 
 def test_circuit_is_frozen_value():
