@@ -240,10 +240,7 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(x) -> str:
     """Render reduced "p/q", or plain "p" when the denominator is 1."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def parse_int(value) -> int:

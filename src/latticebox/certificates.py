@@ -19,7 +19,7 @@ b_i swapped when v_i < 0. The rank-1 family is U_j - L_i over ordered
 coordinate pairs, a reduced pair coordinate (i, j) ranges over
 [L_i - U_j, U_i - L_j], and each coordinate needs U_i - L_i >= 0. The rule
 is written once (_multiplier_bounds) and run on expression trees to build
-certificates and on integers for every check in solve_box.
+certificates and on integers, once per level, in solve_box.
 
 Expression trees here are a superset of the minimal grammar (explicit Neg
 and Diff nodes, inputs at both polarities). Only the division-nesting
@@ -271,12 +271,6 @@ def feasible_by_certificates(certs: CertificateSet, box: Box) -> bool:
     return all(_evaluate(e, a, b, memo) >= 0 for e in certs.exprs)
 
 
-def _t_interval(div: DivisorVector, lower, upper):
-    """Integer range (max L_i, min U_i) of t with lower <= t·v <= upper."""
-    bounds = _multiplier_bounds(div, lower, upper, floor_div, ceil_div).values()
-    return max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
-
-
 def solve_box(cert: ChainCertificate, box: Box):
     """Explicit lattice point in the box, or None when there is none.
 
@@ -291,7 +285,13 @@ def solve_box(cert: ChainCertificate, box: Box):
     image with some preimage y*, this y equals y* - r·v for r = y*_i0/v_i0,
     so it lies in the coset y* + Zv of all preimages (the map's kernel
     inside the lattice is exactly Zv), and the smallest t picks the same
-    point from any of them. Returns None exactly on the inputs where the
+    point from any of them.
+
+    The range of t after the lift is the level's range [L_i, U_i] shifted
+    by -y_i/v_i, with no second division of the bounds. That is exact: y
+    is a member, so v_i divides y_i, and ceil((a_i - y_i)/v_i) =
+    ceil(a_i/v_i) - y_i/v_i; likewise for floor, and with a_i and b_i
+    swapped when v_i < 0. Returns None exactly on the inputs where the
     certificate set evaluates negative somewhere; a child witness with no
     preimage in the lattice is an internal inconsistency.
     """
@@ -303,16 +303,17 @@ def solve_box(cert: ChainCertificate, box: Box):
     div = cert.divisor
     v = div.v
     a, b = box.lower, box.upper
+    bounds = _multiplier_bounds(div, a, b, floor_div, ceil_div)
     if cert.child is None:
         for k in div.zero:
             if not (a[k] <= 0 <= b[k]):
                 return None
-        lo, hi = _t_interval(div, a, b)
+        lo = max(low for low, _ in bounds.values())
+        hi = min(high for _, high in bounds.values())
         if lo > hi:
             return None
         return tuple(lo * x for x in v)
 
-    bounds = _multiplier_bounds(div, a, b, floor_div, ceil_div)
     if any(lo > hi for lo, hi in bounds.values()):
         return None
     red_lo, red_hi = _reduced_bounds(div, bounds, a, b, sub)
@@ -332,11 +333,8 @@ def solve_box(cert: ChainCertificate, box: Box):
     for k in div.zero:
         if not (a[k] <= y[k] <= b[k]):
             raise InconsistencyError("lifted point leaves the box on a zero coordinate")
-    lo, hi = _t_interval(
-        div,
-        [a[i] - y[i] for i in range(lat.ambient_dim)],
-        [b[i] - y[i] for i in range(lat.ambient_dim)],
-    )
+    lo = max(low - y[i] // v[i] for i, (low, _) in bounds.items())
+    hi = min(high - y[i] // v[i] for i, (_, high) in bounds.items())
     if lo > hi:
         raise InconsistencyError("no multiplier fits the lifted point")
     return tuple(lo * v[i] + y[i] for i in range(lat.ambient_dim))

@@ -19,7 +19,7 @@ from operator import index
 from .errors import DivisibilityError, ResourceLimitError, ZeroLatticeError
 from .lattice import Lattice
 
-DEFAULT_MAX_DIM = 64
+MAX_IMAGE_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class ChainCertificate:
         return 1 + (self.child.chain_length if self.child is not None else 0)
 
 
-def certify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM):
+def certify(lat: Lattice):
     """Depth-first search for a divisor chain; None when no chain exists.
 
     Candidates are tried as the walk finds them, and the first fully
@@ -134,8 +134,8 @@ def certify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM):
     because the rank drops by one per level, and at rank 1 any candidate
     empties the lattice. The ambient dimension of the images can grow; it
     is read from the divisor (its pairs plus its zero coordinates), so a
-    level beyond max_dim raises ResourceLimitError before its image is
-    built rather than searching a blown-up space.
+    level beyond MAX_IMAGE_DIM raises ResourceLimitError before its image
+    is built rather than searching a blown-up space.
 
     Different divisors often map to the same image lattice. A lattice is
     canonical and hashable, and a search that found no chain for it finds
@@ -144,19 +144,21 @@ def certify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM):
     """
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
-    return _search(lat, max_dim, set())
+    return _search(lat, set())
 
 
-def _search(lat: Lattice, max_dim: int, failed: set):
+def _search(lat: Lattice, failed: set):
     if lat in failed:
         return None
     for div in divisor_candidates(lat):
         if lat.rank == 1:
             return ChainCertificate(lat, div, None)
         dim = len(div.pairs) + len(div.zero)
-        if dim > max_dim:
-            raise ResourceLimitError(f"image dimension {dim} exceeds cap {max_dim}")
-        sub = _search(image_lattice(lat, div), max_dim, failed)
+        if dim > MAX_IMAGE_DIM:
+            raise ResourceLimitError(
+                f"image dimension {dim} exceeds cap {MAX_IMAGE_DIM}"
+            )
+        sub = _search(image_lattice(lat, div), failed)
         if sub is not None:
             return ChainCertificate(lat, div, sub)
     failed.add(lat)

@@ -295,21 +295,16 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     outside the ring span, and raises PreconditionError when some v_j has
     coordinates over B outside the ring, the case the precondition rules
     out. _rhs_in_ring makes both ring tests on the integer echelon rows;
-    _induct keeps those rows through its steps and repeats only the tests.
+    near_integers_solve and refine_to_qp use only that verdict, and _induct
+    keeps the rows through its steps and repeats only the tests.
     """
     vecs, w = _parse(vectors, target)
-    return _ring_coordinates(_echelon_system(vecs, w), len(vecs), primes)
-
-
-def _ring_coordinates(system, m, primes):
-    """qp_solve_exact on the _echelon_system of a family of m vectors."""
-    if system is None:
-        return None
-    mat, pivots = system
-    if not _rhs_in_ring(mat, pivots, m, primes):
+    m = len(vecs)
+    system = _echelon_system(vecs, w)
+    if system is None or not _rhs_in_ring(*system, m, primes):
         return None
     x = [Fraction(0)] * m
-    for row, col in zip(mat, pivots):
+    for row, col in zip(*system):
         x[col] = Fraction(row[m], row[col])
     return x
 
@@ -400,7 +395,7 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
         if not (a <= xi <= b):
             raise PreconditionError(f"coordinate {xi} is outside [{a}, {b}]")
     system = _echelon_system(inst.vectors, inst.target)
-    if _ring_coordinates(system, inst.size, inst.primes) is None:
+    if not _rhs_in_ring(*system, inst.size, inst.primes):
         raise PreconditionError("target is outside the ring span")
     return _refine(inst, xs, system)
 
@@ -582,7 +577,7 @@ def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper)
     system = _echelon_system(inst.vectors, inst.target)
-    if _ring_coordinates(system, inst.size, inst.primes) is None:
+    if system is None or not _rhs_in_ring(*system, inst.size, inst.primes):
         return QpSolveResult(False, "not-in-span", None, None, inst.primes)
     x = _box_solve(inst.vectors, inst.target, inst.lower, inst.upper, system)
     if x is None:

@@ -256,7 +256,7 @@ def test_reference_anchor():
     )
 
 
-def test_solve_box_witness_digest():
+def test_solve_box_witness_digest(monkeypatch):
     # pins the exact witnesses solve_box picks: seeded in-class chains of
     # every rank 1-4, each on small boxes and on boxes near lattice points
     # with coordinates around 10^9
@@ -266,6 +266,7 @@ def test_solve_box_witness_digest():
     ]
     rng = random.Random(8128)
     per_rank = {1: 0, 2: 0, 3: 0, 4: 0}
+    monkeypatch.setattr("latticebox.chains.MAX_IMAGE_DIM", 12)
     while min(per_rank.values()) < 8:
         n = rng.randint(1, 5)
         gens = [
@@ -276,7 +277,7 @@ def test_solve_box_witness_digest():
         if per_rank.get(lat.rank, 8) >= 8:
             continue
         try:
-            chain = certify(lat, max_dim=12)
+            chain = certify(lat)
         except ResourceLimitError:
             continue
         if chain is not None:
@@ -526,6 +527,33 @@ def test_feasible_divides_once_per_distinct_node(monkeypatch):
     assert len(calls) == 82
 
 
+def test_solve_box_divides_once_per_level(monkeypatch):
+    # the chain's levels have 4, 5, 8 and 24 nonzero coordinates; each
+    # level divides its bounds once, two divisions per nonzero coordinate,
+    # and after the lift reads the range of t off those same bounds
+    chain = certify(REFERENCE)
+    supports = []
+    level = chain
+    while level is not None:
+        supports.append(len(level.divisor.pos + level.divisor.neg))
+        level = level.child
+    assert supports == [4, 5, 8, 24]
+    calls = []
+
+    def counted(fn):
+        def wrapper(x, m):
+            calls.append(m)
+            return fn(x, m)
+
+        return wrapper
+
+    monkeypatch.setattr(certificates, "floor_div", counted(certificates.floor_div))
+    monkeypatch.setattr(certificates, "ceil_div", counted(certificates.ceil_div))
+    box = Box.of((10**9 + 1, -999999998, 7, -3), (10**9 + 2, -999999997, 8, -2))
+    assert solve_box(chain, box) == (1000000002, -999999997, 8, -2)
+    assert len(calls) == 2 * sum(supports) == 82
+
+
 def _oracle_box(rng, lat):
     # near a lattice point with coordinates around 10^9, shifted so it may
     # miss the lattice; widths 0-3, and 1 box in 16 wide (10 to 10^4)
@@ -540,13 +568,14 @@ def _oracle_box(rng, lat):
     return Box.of(lower, [lo + rng.randint(0, 3) for lo in lower])
 
 
-def test_evaluate_matches_tree_oracle():
+def test_evaluate_matches_tree_oracle(monkeypatch):
     # the shared-node evaluation against a full-tree walk, expression by
     # expression and as a verdict, on the reference lattice and seeded
     # in-class chains of every rank 1-4
     rng = random.Random(1818)
     chains = [certify(REFERENCE)]
     per_rank = {1: 0, 2: 0, 3: 0, 4: 0}
+    monkeypatch.setattr("latticebox.chains.MAX_IMAGE_DIM", 12)
     while min(per_rank.values()) < 6:
         n = rng.randint(1, 5)
         gens = [
@@ -557,7 +586,7 @@ def test_evaluate_matches_tree_oracle():
         if per_rank.get(lat.rank, 6) >= 6:
             continue
         try:
-            chain = certify(lat, max_dim=12)
+            chain = certify(lat)
         except ResourceLimitError:
             continue
         if chain is not None:

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from latticebox.chains import (
-    DEFAULT_MAX_DIM,
+    MAX_IMAGE_DIM,
     ChainCertificate,
     DivisorVector,
     certify,
@@ -249,8 +249,9 @@ def test_certify_chain_length_equals_rank():
 def test_certify_dimension_cap(monkeypatch):
     # A wide rank-2 lattice with a dense divisor blows past a tiny cap.
     lat = Lattice(4, [(1, 1, 1, 1), (0, 2, 4, 8)])
+    monkeypatch.setattr("latticebox.chains.MAX_IMAGE_DIM", 3)
     with pytest.raises(ResourceLimitError):
-        certify(lat, max_dim=3)
+        certify(lat)
 
     # The cap is read from the divisor, before any image is built, and a
     # rank-1 level needs no image at all.
@@ -259,12 +260,14 @@ def test_certify_dimension_cap(monkeypatch):
 
     monkeypatch.setattr("latticebox.chains.image_lattice", no_image)
     identity = Lattice(6, [[int(i == j) for j in range(6)] for i in range(6)])
+    monkeypatch.setattr("latticebox.chains.MAX_IMAGE_DIM", 10)
     with pytest.raises(ResourceLimitError, match="image dimension 15 exceeds cap 10"):
-        certify(identity, max_dim=10)
-    assert certify(Lattice(3, [(2, -3, 0)]), max_dim=1).chain_length == 1
+        certify(identity)
+    monkeypatch.setattr("latticebox.chains.MAX_IMAGE_DIM", 1)
+    assert certify(Lattice(3, [(2, -3, 0)])).chain_length == 1
 
 
-def certify_unmemoized(lat, max_dim=DEFAULT_MAX_DIM, visited=None):
+def certify_unmemoized(lat, max_dim=MAX_IMAGE_DIM, visited=None):
     """Reference: the chain search without certify's memo of failed images.
 
     visited, when given, collects every lattice whose candidates are walked.
@@ -283,14 +286,14 @@ def certify_unmemoized(lat, max_dim=DEFAULT_MAX_DIM, visited=None):
     return None
 
 
-def _outcome(search, lat, max_dim, **kwargs):
+def _outcome(search, *args, **kwargs):
     try:
-        return search(lat, max_dim, **kwargs)
+        return search(*args, **kwargs)
     except ResourceLimitError as exc:
         return str(exc)
 
 
-def test_certify_matches_unmemoized_search():
+def test_certify_matches_unmemoized_search(monkeypatch):
     rng = random.Random(20261019)
     kinds = set()
     revisits = 0
@@ -299,10 +302,11 @@ def test_certify_matches_unmemoized_search():
         lat = Lattice(n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         if lat.rank == 0:
             continue
-        max_dim = rng.choice([3, 6, DEFAULT_MAX_DIM])
+        max_dim = rng.choice([3, 6, MAX_IMAGE_DIM])
+        monkeypatch.setattr("latticebox.chains.MAX_IMAGE_DIM", max_dim)
         visited = []
         expected = _outcome(certify_unmemoized, lat, max_dim, visited=visited)
-        assert _outcome(certify, lat, max_dim) == expected
+        assert _outcome(certify, lat) == expected
         kinds.add(type(expected))
         revisits += len(visited) > len(set(visited))
     # chains, no chain and the cap all occur, and some searches meet an
