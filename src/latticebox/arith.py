@@ -223,9 +223,10 @@ def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a JSON-style number: int, "p", or "p/q" (exact, reduced).
+    """Parse a JSON-style number: int, "p", "p/q" or "p.d" (exact, reduced).
 
     A Fraction comes back as it is: Fractions are immutable and reduced.
+    Exponent notation raises ValueError: "1e30000000" has 10^30000000.
     """
     if type(value) is Fraction:
         return value
@@ -234,6 +235,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not read: {value!r}")
         return Fraction(value.strip())
     raise ValueError(f"not a rational: {value!r}")
 

@@ -129,16 +129,17 @@ def _echelon_system(vectors, target):
     return mat, pivots
 
 
-def _lexmin(system, lower, upper, order):
+def _lexmin(system, lower, upper):
     """The lexicographic minimum of {x : sum(x_i v_i) = target, lower <= x <= upper}.
 
     system is _echelon_system(vectors, target), consistent; it is not
-    modified. Minimizes x_k for each k in order, fixing x_k at its minimum
-    before the next; returns None when the set is empty. This is an exact
-    bounded-variable simplex on integer rows, each scaled to a positive
-    basic entry that ratios and updates divide by; a basis exchange is one
-    arith.eliminate per row. The echelon form of the equalities gives the
-    first basis, with every nonbasic variable at its lower bound.
+    modified. Minimizes x_{m-1} first, then x_{m-2}, down to x_0, fixing
+    each at its minimum before the next; returns None when the set is
+    empty. This is an exact bounded-variable simplex on integer rows, each
+    scaled to a positive basic entry that ratios and updates divide by; a
+    basis exchange is one arith.eliminate per row. The echelon form of the
+    equalities gives the first basis, with every nonbasic variable at its
+    lower bound.
     Phase 1 widens the bounds of each basic variable that starts outside
     them to take in its start value, then drives those variables back one
     at a time; one that cannot get back proves the set empty, because the
@@ -244,7 +245,7 @@ def _lexmin(system, lower, upper, order):
             if x[k] > bound[k] if sign > 0 else x[k] < bound[k]:
                 return None
         lo[k], hi[k] = low[k], up[k]
-    for k in order:
+    for k in reversed(range(m)):
         descend(k, 1, lo)
         lo[k] = hi[k] = x[k]
     return [Fraction(a, q) for a in x]
@@ -262,7 +263,9 @@ def rational_box_solve(vectors, target, lower, upper):
     fixed by the free coordinates to its right before its own turn comes.
     The simplex runs on integer numerators over one common denominator;
     the vertex comes back as Fractions, and _solves re-checks it on
-    integers before it is returned.
+    integers before it is returned. With an empty prime set this vertex
+    is also the answer of near_integers_solve and refine_to_qp (see
+    _refine).
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
     return _box_solve(vecs, w, lo, hi, _echelon_system(vecs, w))
@@ -272,7 +275,7 @@ def _box_solve(vecs, w, lo, hi, system):
     """rational_box_solve on parsed input and its _echelon_system."""
     if system is None or any(a > b for a, b in zip(lo, hi)):
         return None
-    x = _lexmin(system, lo, hi, range(len(vecs) - 1, -1, -1))
+    x = _lexmin(system, lo, hi)
     if x is None:
         return None
     if not _solves(vecs, w, x):
@@ -359,25 +362,6 @@ def _fix_column(rows, pivots, h, value) -> bool:
     return True
 
 
-def _integral_fallback(inst: QpBoxInstance, system, steps: list[RefineStep]):
-    """Empty prime set: the ring is the integers.
-
-    Every vertex of the solution set is then integral: its nonbasic
-    coordinates sit at integer bounds, and its basic ones are coordinates
-    over a basis, which lie in the ring by the circuit argument of
-    qp_solve_exact. So the vertex that is least with x_0 first is the
-    lexicographically first integer solution in the bounds. A vertex that
-    is not integral fails the ring re-check in _refine.
-    """
-    x = _lexmin(system, inst.lower, inst.upper, range(inst.size))
-    if x is None:
-        raise InconsistencyError(
-            "the solution set is empty although a solution was given"
-        )
-    steps.append(RefineStep(case="integral_fallback"))
-    return x
-
-
 def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], RefinementTrace]:
     """Turn a rational box solution into one with ring coordinates.
 
@@ -406,12 +390,22 @@ def _refine(
     """refine_to_qp once its preconditions hold; re-checks the output.
 
     system is the _echelon_system of the instance; it is not modified.
+    A nonempty prime set runs _induct from xs. With an empty one the ring
+    is the integers and the answer is rational_box_solve's vertex: its
+    nonbasic coordinates sit at integer bounds, and its basic ones are
+    coordinates over a basis, in the ring by the circuit argument of
+    qp_solve_exact. The ring re-check below guards it.
     """
     steps: list[RefineStep] = []
     if inst.primes:
         y = _induct(inst, xs, system, steps)
     else:
-        y = _integral_fallback(inst, system, steps)
+        y = _lexmin(system, inst.lower, inst.upper)
+        if y is None:
+            raise InconsistencyError(
+                "the solution set is empty although a solution was given"
+            )
+        steps.append(RefineStep(case="integral_fallback"))
     if not _solves(inst.vectors, inst.target, y):
         raise InconsistencyError("refined point no longer solves the system")
     for a, yi, b in zip(inst.lower, y, inst.upper):

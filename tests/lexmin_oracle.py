@@ -9,16 +9,17 @@ tests compare it against, pivot for pivot.
 from latticebox.arith import eliminate
 
 
-def lexmin(system, lower, upper, order):
+def lexmin(system, lower, upper):
     """The lexicographic minimum of {x : sum(x_i v_i) = target, lower <= x <= upper}.
 
     system is localized._echelon_system(vectors, target), consistent; it
-    is not modified. Minimizes x_k for each k in order, fixing x_k at its
-    minimum before the next; returns None when the set is empty. This is an exact
-    bounded-variable simplex on integer rows, each scaled to a positive
-    basic entry that ratios and updates divide by; a basis exchange is one
-    arith.eliminate per row. The echelon form of the equalities gives the
-    first basis, with every nonbasic variable at its lower bound.
+    is not modified. Minimizes x_{m-1} first, then x_{m-2}, down to x_0,
+    fixing each at its minimum before the next; returns None when the set
+    is empty. This is an exact bounded-variable simplex on integer rows,
+    each scaled to a positive basic entry that ratios and updates divide
+    by; a basis exchange is one arith.eliminate per row. The echelon form
+    of the equalities gives the first basis, with every nonbasic variable
+    at its lower bound.
     Phase 1 widens the bounds of each basic variable that starts outside
     them to take in its start value, then drives those variables back one
     at a time; one that cannot get back proves the set empty, because the
@@ -86,7 +87,7 @@ def lexmin(system, lower, upper, order):
             if x[k] > bound if sign > 0 else x[k] < bound:
                 return None
         lo[k], hi[k] = lower[k], upper[k]
-    for k in order:
+    for k in reversed(range(m)):
         descend(k, 1, lo[k])
         lo[k] = hi[k] = x[k]
     return x

@@ -210,6 +210,13 @@ def test_rational_round_trip():
     assert format_rational(Fraction(-8, 2)) == "-4"
     with pytest.raises(ValueError):
         parse_rational(None)
+    # exponent notation would expand to every digit of the power
+    for text in ("1e400", "2E-3", "1e30000000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+    assert parse_rational(" -2 ") == -2
+    assert parse_rational("3/4") == Fraction(3, 4)
+    assert parse_rational("-1.25") == Fraction(-5, 4)
 
 
 def test_echelon_carries_right_hand_side():

@@ -323,7 +323,7 @@ def test_near_integers_solve_digest():
     assert len(fallbacks) == 117
     assert (
         hashlib.sha256(repr(outcomes).encode()).hexdigest()
-        == "f28c7f3df387b8186e9ec896f827c9d2bcb600ca56fc5d1054ea652704211ff0"
+        == "3b7a89f1e1f9087cd23ee3f410f3fd588854262954c3a89e50ac7d9cc89e4eb7"
     )
 
 

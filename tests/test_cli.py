@@ -112,8 +112,8 @@ def test_qpsolve_zero_length_family(tmp_path):
     )
 
 def test_qpsolve_fourteen_unit_vectors(tmp_path):
-    # 3^14 box points, far past the oracle's cap: the integral fallback
-    # must still return the lexicographically first integer solution
+    # 3^14 box points, far past the oracle's cap: with an empty prime set
+    # the answer is the integer vertex least by x_13, then x_12, down to x_0
     inst = tmp_path / "ones.json"
     inst.write_text(
         json.dumps(
@@ -127,7 +127,7 @@ def test_qpsolve_fourteen_unit_vectors(tmp_path):
     )
     rc, out, _ = run_cli(["qpsolve", str(inst)])
     assert rc == 0
-    solution = ["0"] * 10 + ["1", "2", "2", "2"]
+    solution = ["2", "2", "2", "1"] + ["0"] * 10
     assert out == (
         '{\n  "prime_set": [],\n  "reason": null,\n  "solution": [\n'
         + ",\n".join(f'    "{x}"' for x in solution)

@@ -24,7 +24,6 @@ from latticebox.errors import (
 from latticebox.localized import (
     QpBoxInstance,
     _echelon_system,
-    _integral_fallback,
     near_integers_solve,
     qp_solve_exact,
     rational_box_solve,
@@ -232,8 +231,9 @@ def test_rational_box_solve_is_lexmin_vertex():
 
 
 def test_integral_fallback_is_lexmin_vertex():
-    # with an empty prime set every vertex is integral, and the fallback's
-    # answer is the vertex that is lexicographically least, x_0 first
+    # with an empty prime set every vertex is integral, and every entry
+    # point answers with rational_box_solve's vertex, the one least by
+    # x_{m-1}, ..., x_0, whatever point refine_to_qp starts from
     rng = random.Random(24008)
     done = 0
     while done < 60:
@@ -243,20 +243,24 @@ def test_integral_fallback_is_lexmin_vertex():
         if prime_set(vecs):
             continue
         hidden = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
+        if all(h.denominator == 1 for h in hidden):
+            continue
         target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
         lower = [floor(h) - rng.randint(0, 2) for h in hidden]
         upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
         inst = QpBoxInstance.build(vecs, target, lower, upper)
         if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
             continue
-        steps = []
-        system = _echelon_system(inst.vectors, inst.target)
-        got = _integral_fallback(inst, system, steps)
+        got, trace = refine_to_qp(inst, hidden)
+        res = near_integers_solve(vecs, target, lower, upper)
+        assert res.solution == got
+        assert rational_box_solve(vecs, target, lower, upper) == list(got)
         points = _brute_vertices(vecs, target, lower, upper)
         assert all(xi.denominator == 1 for x in points for xi in x)
-        assert tuple(got) == min(points, key=_lexmin_key(range(m)))
+        assert got == min(points, key=_lexmin_key(range(m - 1, -1, -1)))
         assert all(type(xi) is F for xi in got)
-        assert [s.case for s in steps] == ["integral_fallback"]
+        for t in (trace, res.trace):
+            assert [s.case for s in t.steps] == ["integral_fallback"]
         done += 1
 
 
@@ -297,7 +301,7 @@ def _lexmin_instance(rng):
 def test_lexmin_matches_fraction_oracle(monkeypatch):
     # the integer simplex must take the pivot path of the Fraction one:
     # the same vertex, or None, and the same arith.eliminate calls in the
-    # same order, on both the last-first and the first-first order
+    # same order
     calls = {"int": [], "oracle": []}
 
     def recorded(side):
@@ -312,27 +316,25 @@ def test_lexmin_matches_fraction_oracle(monkeypatch):
     rng = random.Random(24021)
     seen = Counter()
     done = 0
-    while done < 5000:
+    while done < 10000:
         vecs, target, lower, upper, fixed = _lexmin_instance(rng)
         system = _echelon_system(vecs, target)
         if system is None:
             continue
-        m = len(vecs)
-        for order in (range(m - 1, -1, -1), range(m)):
-            calls["int"].clear()
-            calls["oracle"].clear()
-            got = localized._lexmin(system, lower, upper, order)
-            want = lexmin_oracle.lexmin(system, lower, upper, order)
-            assert got == want
-            assert calls["int"] == calls["oracle"]
-            if got is None:
-                seen["infeasible"] += 1
-            else:
-                assert all(type(xi) is F for xi in got)
-                seen["solved"] += 1
-                seen["fixed"] += fixed
-                seen["fractional"] += any(xi.denominator > 1 for xi in got)
-            seen["eliminate"] += len(calls["int"])
+        calls["int"].clear()
+        calls["oracle"].clear()
+        got = localized._lexmin(system, lower, upper)
+        want = lexmin_oracle.lexmin(system, lower, upper)
+        assert got == want
+        assert calls["int"] == calls["oracle"]
+        if got is None:
+            seen["infeasible"] += 1
+        else:
+            assert all(type(xi) is F for xi in got)
+            seen["solved"] += 1
+            seen["fixed"] += fixed
+            seen["fractional"] += any(xi.denominator > 1 for xi in got)
+        seen["eliminate"] += len(calls["int"])
         seen["rational bounds"] += any(a.denominator > 1 for a in lower + upper)
         done += 1
     assert seen["infeasible"] > 1000 and seen["solved"] > 5000
@@ -385,8 +387,8 @@ def test_solves_matches_fraction_sums():
 def test_box_solve_guards(monkeypatch):
     lexmin = localized._lexmin
 
-    def nudged(system, lower, upper, order):
-        x = lexmin(system, lower, upper, order)
+    def nudged(system, lower, upper):
+        x = lexmin(system, lower, upper)
         return [x[0] + F(1, 7), *x[1:]]
 
     monkeypatch.setattr(localized, "_lexmin", nudged)
@@ -396,6 +398,20 @@ def test_box_solve_guards(monkeypatch):
     monkeypatch.setattr(localized, "_lexmin", lambda *args: [F(2), F(-1)])
     with pytest.raises(InconsistencyError, match="out-of-box point"):
         rational_box_solve([[1], [1]], [1], [0, 0], [1, 1])
+
+
+def test_refine_guards(monkeypatch):
+    # an empty prime set, so _refine takes its vertex from _lexmin
+    inst = QpBoxInstance.build([[1], [1]], [1], [0, 0], [1, 1])
+    for vertex, message in (
+        (None, "the solution set is empty although a solution was given"),
+        ([F(1), F(1)], "refined point no longer solves the system"),
+        ([F(2), F(-1)], "refined point left the box"),
+        ([F(1, 2), F(1, 2)], "refined coordinate is outside the ring"),
+    ):
+        monkeypatch.setattr(localized, "_lexmin", lambda *args, v=vertex: v)
+        with pytest.raises(InconsistencyError, match=message):
+            refine_to_qp(inst, [F(1, 2), F(1, 2)])
 
 
 def test_empty_families_keep_their_answers():
@@ -931,7 +947,7 @@ def test_refinement_trace_digest():
     assert cases["case2"] >= 10
     assert (
         digest.hexdigest()
-        == "d8bf077666fbf627837c4b6efda21c41e1a24bc81fe7acb5765e0300c5d68953"
+        == "8d22b17faf9761fdd1934b9ef534740ebbd37f5f11e30448f4c0f015e112d991"
     )
 
 
