@@ -89,10 +89,11 @@ def divisor_candidates(lat: Lattice) -> Iterator[DivisorVector]:
     """
     if lat.rank == 0:
         raise ZeroLatticeError("zero lattice has no divisor vectors")
-    return _walk(lat)
+    return map(DivisorVector.of, _walk(lat))
 
 
-def _walk(lat: Lattice) -> Iterator[DivisorVector]:
+def _walk(lat: Lattice) -> Iterator[list[int]]:
+    """The divisor vectors of lat as coordinate lists, in divisor_candidates' order."""
     d = lat.projection_gcds()
     # An explicit stack, so that no rank runs into the recursion limit.
     stack = [(0, [0] * lat.ambient_dim)]
@@ -100,7 +101,7 @@ def _walk(lat: Lattice) -> Iterator[DivisorVector]:
         k, v = stack.pop()
         if k == lat.rank:
             if any(v) and all(x == 0 or abs(x) == g for x, g in zip(v, d)):
-                yield DivisorVector.of(v)
+                yield v
             continue
         row, p = lat.basis[k], lat.pivots[k]
         for sign in (0, -1, 1):  # pushed in reverse: + is walked first
@@ -133,9 +134,10 @@ def certify(lat: Lattice):
     certifying choice wins, so output is reproducible. Recursion terminates
     because the rank drops by one per level, and at rank 1 any candidate
     empties the lattice. The ambient dimension of the images can grow; it
-    is read from the divisor (its pairs plus its zero coordinates), so a
-    level beyond MAX_IMAGE_DIM raises ResourceLimitError before its image
-    is built rather than searching a blown-up space.
+    is read from the candidate's support s (its s(s-1)/2 pairs plus its
+    zero coordinates), so a level beyond MAX_IMAGE_DIM raises
+    ResourceLimitError before its pair layout or image is built rather
+    than searching a blown-up space.
 
     Different divisors often map to the same image lattice. A lattice is
     canonical and hashable, and a search that found no chain for it finds
@@ -150,14 +152,16 @@ def certify(lat: Lattice):
 def _search(lat: Lattice, failed: set):
     if lat in failed:
         return None
-    for div in divisor_candidates(lat):
+    for v in _walk(lat):
         if lat.rank == 1:
-            return ChainCertificate(lat, div, None)
-        dim = len(div.pairs) + len(div.zero)
+            return ChainCertificate(lat, DivisorVector.of(v), None)
+        s = sum(1 for x in v if x)
+        dim = s * (s - 1) // 2 + len(v) - s
         if dim > MAX_IMAGE_DIM:
             raise ResourceLimitError(
                 f"image dimension {dim} exceeds cap {MAX_IMAGE_DIM}"
             )
+        div = DivisorVector.of(v)
         sub = _search(image_lattice(lat, div), failed)
         if sub is not None:
             return ChainCertificate(lat, div, sub)

@@ -175,6 +175,7 @@ def main(argv=None) -> int:
         KeyError,
         TypeError,
         ValueError,
+        RecursionError,
         ZeroDivisionError,
         LatticeBoxError,
     ) as exc:

@@ -120,13 +120,17 @@ class RefinementTrace:
 
 
 def _echelon_system(vectors, target):
-    """(mat, pivots) of echelon on [v_0 ... v_{m-1} | target]; None if inconsistent."""
+    """(rows, pivots): the pivot rows of echelon on [v_0 ... v_{m-1} | target].
+
+    Only the pivot rows are kept: the others are zero on the family, and
+    None is returned when one of them has a nonzero right-hand side.
+    """
     m = len(vectors)
     rows = [[v[j] for v in vectors] + [t] for j, t in enumerate(target)]
     mat, pivots = echelon(rows, m)
     if any(row[m] for row in mat[len(pivots):]):
         return None
-    return mat, pivots
+    return mat[: len(pivots)], pivots
 
 
 def _lexmin(system, lower, upper):
@@ -159,18 +163,16 @@ def _lexmin(system, lower, upper):
     m = len(lower)
     mat, pivots = system
     basis = list(pivots)
-    top = mat[: len(basis)]
-    rows = [row[:m] for row in top]
-    where = {b: r for r, b in enumerate(basis)}
+    rows = [row[:m] for row in mat]
     q = lcm(*(a.denominator for a in (*lower, *upper)))
     low = [a.numerator * (q // a.denominator) for a in lower]
     up = [a.numerator * (q // a.denominator) for a in upper]
     # x_b starts at lower_b + s/row[b] over q; scaling q by f keeps it integral
-    starts = [row[m] * q - sum(a * c for a, c in zip(row, low)) for row in top]
-    f = lcm(*(row[b] // gcd(s, row[b]) for row, b, s in zip(top, basis, starts)))
+    starts = [row[m] * q - sum(a * c for a, c in zip(row, low)) for row in mat]
+    f = lcm(*(row[b] // gcd(s, row[b]) for row, b, s in zip(mat, basis, starts)))
     q, low, up = q * f, [f * a for a in low], [f * a for a in up]
     x = list(low)
-    for row, b, s in zip(top, basis, starts):
+    for row, b, s in zip(mat, basis, starts):
         x[b] += s * f // row[b]
     lo = [min(a, xi) for a, xi in zip(low, x)]
     hi = [max(b, xi) for b, xi in zip(up, x)]
@@ -184,12 +186,12 @@ def _lexmin(system, lower, upper):
     def descend(k, sign, goal):
         # Pivot until sign·x_k <= sign·goal[k] or no move lowers sign·x_k.
         while x[k] > goal[k] if sign > 0 else x[k] < goal[k]:
-            if k in where:
-                grad = [-sign * a for a in rows[where[k]]]
+            if k in basis:
+                grad = [-sign * a for a in rows[basis.index(k)]]
             else:
                 grad = [sign if j == k else 0 for j in range(m)]
             for j in range(m):
-                if j in where:
+                if j in basis:
                     continue
                 if grad[j] > 0 and x[j] > lo[j]:
                     step = -1
@@ -235,9 +237,7 @@ def _lexmin(system, lower, upper):
             for r, row in enumerate(rows):
                 if r != leave and row[j]:
                     rows[r] = eliminate(row, rows[leave], j)
-            del where[basis[leave]]
             basis[leave] = j
-            where[j] = leave
 
     for k in range(m):
         for sign, bound in ((1, up), (-1, low)):
@@ -299,12 +299,13 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     coordinates over B outside the ring, the case the precondition rules
     out. _rhs_in_ring makes both ring tests on the integer echelon rows;
     near_integers_solve and refine_to_qp use only that verdict, and _induct
-    keeps the rows through its steps and repeats only the tests.
+    keeps the rows through its steps, repeats only the tests and reads the
+    active family's independence off the rows.
     """
     vecs, w = _parse(vectors, target)
     m = len(vecs)
     system = _echelon_system(vecs, w)
-    if system is None or not _rhs_in_ring(*system, m, primes):
+    if system is None or not _rhs_in_ring(*system, primes):
         return None
     x = [Fraction(0)] * m
     for row, col in zip(*system):
@@ -312,21 +313,21 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     return x
 
 
-def _rhs_in_ring(rows, pivots, m, primes) -> bool:
+def _rhs_in_ring(rows, pivots, primes) -> bool:
     """Whether the right-hand side of echelon rows has ring coordinates.
 
-    rows pairs with pivots as _echelon_system gives them, each row m
-    entries wide plus the right-hand side. Divided by its pivot entry c, a
-    row is a row of the reduced echelon form, and a/c is in the ring iff
-    the part of c coprime to the primes divides a. Every entry is tested
-    before any right-hand side: an entry outside the ring raises
-    PreconditionError, as the prime set then misses a circuit prime.
+    rows pairs with pivots as _echelon_system gives them: a row is its
+    family part row[:-1], then its right-hand side row[-1]. Divided by its
+    pivot entry c, a row is a row of the reduced echelon form, and a/c is
+    in the ring iff the part of c coprime to the primes divides a. Every
+    entry is tested before any right-hand side: an entry outside the ring
+    raises PreconditionError, as the prime set then misses a circuit prime.
     """
     parts = [primes.coprime_part(row[col]) for row, col in zip(rows, pivots)]
     for row, u in zip(rows, parts):
-        if u > 1 and any(a % u for a in row[:m]):
+        if u > 1 and any(a % u for a in row[:-1]):
             raise PreconditionError("prime set misses a circuit prime of the family")
-    return not any(row[m] % u for row, u in zip(rows, parts))
+    return not any(row[-1] % u for row, u in zip(rows, parts))
 
 
 def _fix_column(rows, pivots, h, value) -> bool:
@@ -379,7 +380,7 @@ def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], Refineme
         if not (a <= xi <= b):
             raise PreconditionError(f"coordinate {xi} is outside [{a}, {b}]")
     system = _echelon_system(inst.vectors, inst.target)
-    if not _rhs_in_ring(*system, inst.size, inst.primes):
+    if not _rhs_in_ring(*system, inst.primes):
         raise PreconditionError("target is outside the ring span")
     return _refine(inst, xs, system)
 
@@ -423,31 +424,28 @@ def _induct(
     """The constructive induction over a nonempty prime set.
 
     Fixes one ring coordinate at a time (case1), or, when none is in the
-    ring, perturbs along a circuit until one is (case2). The family's
-    circuits are its one source of dependence facts: inside holds, in
-    support order, the family circuits whose support lies in the active
-    set. case1 drops those through the fixed index and case2 keeps the
-    active set, so the invariant holds at every step. A set is dependent
-    iff it contains a circuit, so the active subfamily is independent iff
-    inside is empty.
+    ring, perturbs along the first family circuit inside the active set
+    until one is (case2). case2 moves only active coordinates, so cur is
+    the returned point.
 
     rows and pivots hold the integer echelon rows of the active family and
     the residual target, started from system. Each case1 step updates them
     with _fix_column and guards that the residual target stays in the ring
     span of the active family, as qp_solve_exact on that family would: the
     guard is a row update and _rhs_in_ring's tests, not a new elimination.
+    Each row has its own pivot, and _fix_column drops a row only when
+    nothing of it is left on the family, so len(pivots) is the active
+    rank: the active family is independent iff it equals len(active).
     """
     primes = inst.primes
-    result: dict[int, Fraction] = {}
     active = list(range(inst.size))
-    inside = list(inst.family_circuits)
-    cur = dict(enumerate(xs))
+    cur = list(xs)
     mat, pivots = system
-    rows = [list(row) for row in mat[: len(pivots)]]
+    rows = [list(row) for row in mat]
     pivots = list(pivots)
 
     while active:
-        if not inside:
+        if len(pivots) == len(active):
             # Independent subfamily: the coefficients are forced, and ring
             # span membership forces them into the ring. One nonzero vector
             # left is the base case.
@@ -456,7 +454,6 @@ def _induct(
                     raise InconsistencyError(
                         "independent coefficients are outside the ring"
                     )
-                result[i] = cur[i]
             if len(active) == 1:
                 steps.append(RefineStep(case="base", pivot=active[0]))
             else:
@@ -464,29 +461,23 @@ def _induct(
             break
 
         if len(active) == 1:
-            # a zero vector: its singleton circuit 1·v = 0 is still inside
+            # a zero vector adds nothing: the fixed coordinates meet the target
             i = active[0]
-            # the residual target: what the fixed coordinates leave over
-            if any(
-                t != sum(x * inst.vectors[h][j] for h, x in result.items())
-                for j, t in enumerate(inst.target)
-            ):
+            cur[i] = inst.lower[i]
+            if not _solves(inst.vectors, inst.target, cur):
                 raise InconsistencyError("nonzero target over a zero vector")
-            result[i] = inst.lower[i]
             steps.append(RefineStep(case="base", pivot=i))
             break
 
         h = next((i for i in active if in_qp(cur[i], primes)), None)
         if h is not None:
             if not _fix_column(rows, pivots, h, cur[h]) or not _rhs_in_ring(
-                rows, pivots, inst.size, primes
+                rows, pivots, primes
             ):
                 raise InconsistencyError(
                     "residual target left the ring span after fixing a "
                     "ring coordinate"
                 )
-            inside = [c for c in inside if h not in c.support]
-            result[h] = cur[h]
             steps.append(RefineStep(case="case1", pivot=h, pivot_value=cur[h]))
             active = [i for i in active if i != h]
             continue
@@ -500,7 +491,9 @@ def _induct(
         for i in active:
             if not in_qp(scaled[i], primes):
                 raise InconsistencyError("clearing factor failed")
-        circuit = inside[0]
+        circuit = next(
+            c for c in inst.family_circuits if all(i in active for i in c.support)
+        )
         coeff = dict(zip(circuit.support, circuit.coeffs))
         h = circuit.support[0]
         r_lo = None
@@ -551,7 +544,7 @@ def _induct(
             )
         )
 
-    return [result[i] for i in range(inst.size)]
+    return cur
 
 
 @dataclass(frozen=True)
@@ -571,7 +564,7 @@ def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper)
     system = _echelon_system(inst.vectors, inst.target)
-    if system is None or not _rhs_in_ring(*system, inst.size, inst.primes):
+    if system is None or not _rhs_in_ring(*system, inst.primes):
         return QpSolveResult(False, "not-in-span", None, None, inst.primes)
     x = _box_solve(inst.vectors, inst.target, inst.lower, inst.upper, system)
     if x is None:

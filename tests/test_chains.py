@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from latticebox import chains
 from latticebox.chains import (
     MAX_IMAGE_DIM,
     ChainCertificate,
@@ -267,6 +268,24 @@ def test_certify_dimension_cap(monkeypatch):
     assert certify(Lattice(3, [(2, -3, 0)])).chain_length == 1
 
 
+def test_cap_refusal_builds_no_pair_layout(monkeypatch):
+    # (1, ..., 1, 0) and (0, ..., 0, 1) in Z^3000: the first candidate is
+    # all ones, whose pair layout alone would hold C(3000, 2) tuples
+    n = 3000
+    lat = Lattice(n, [[1] * (n - 1) + [0], [0] * (n - 1) + [1]])
+    build = DivisorVector.of.__func__
+
+    def small_only(cls, v):
+        if sum(1 for x in v if x) > 12:
+            raise AssertionError("built the pair layout of an over-cap divisor")
+        return build(cls, v)
+
+    monkeypatch.setattr(DivisorVector, "of", classmethod(small_only))
+    dim = n * (n - 1) // 2
+    with pytest.raises(ResourceLimitError, match=f"image dimension {dim} exceeds cap"):
+        certify(lat)
+
+
 def certify_unmemoized(lat, max_dim=MAX_IMAGE_DIM, visited=None):
     """Reference: the chain search without certify's memo of failed images.
 
@@ -325,12 +344,13 @@ def test_certify_searches_no_image_twice(monkeypatch):
     assert (len(visited), len(set(visited))) == (603, 8)
 
     searched = []
+    walk = chains._walk
 
     def counting(lat):
         searched.append(lat)
-        return divisor_candidates(lat)
+        return walk(lat)
 
-    monkeypatch.setattr("latticebox.chains.divisor_candidates", counting)
+    monkeypatch.setattr("latticebox.chains._walk", counting)
     assert certify(lat) is None
     assert sorted(map(repr, searched)) == sorted(map(repr, set(visited)))
 

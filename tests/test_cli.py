@@ -165,6 +165,16 @@ def test_exit_code_malformed_input(tmp_path):
     assert rc == 1
 
 
+def test_deeply_nested_json_is_malformed(tmp_path):
+    # json.loads raises RecursionError on nesting this deep
+    deep = tmp_path / "deep.json"
+    nested = "[" * 100_000 + "]" * 100_000
+    deep.write_text(f'{{"ambient_dim": 1, "generators": {nested}}}')
+    rc, out, err = run_cli(["certify", str(deep)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command,payload",
     [

@@ -414,6 +414,23 @@ def test_refine_guards(monkeypatch):
             refine_to_qp(inst, [F(1, 2), F(1, 2)])
 
 
+def test_induct_guards():
+    # forged inputs, as refine_to_qp's checks would stop them: 3·x = 1
+    # forces x = 1/3, outside the ring over {2}
+    inst = replace(QpBoxInstance.build([[3]], [1], [0], [1]), primes=PrimeSet([2]))
+    system = _echelon_system(inst.vectors, inst.target)
+    message = "independent coefficients are outside the ring"
+    with pytest.raises(InconsistencyError, match=message):
+        localized._refine(inst, [F(1, 3)], system)
+
+    # fixing x_0 = 1 leaves the target 2 - 1 over the zero vector alone
+    inst = QpBoxInstance.build([[1], [0]], [1], [0, 0], [2, 1])
+    system = _echelon_system(inst.vectors, inst.target)
+    inst = replace(inst, target=(F(2),), primes=PrimeSet([2]))
+    with pytest.raises(InconsistencyError, match="nonzero target over a zero vector"):
+        localized._refine(inst, [F(1), F(1, 2)], system)
+
+
 def test_empty_families_keep_their_answers():
     # the lcm over no denominators is 1
     assert rational_box_solve([], [0], [], []) == []
@@ -1052,7 +1069,7 @@ def test_case1_guard_matches_fresh_elimination(monkeypatch):
             ]
         verdict = _outcome(
             lambda: consistent
-            and localized._rhs_in_ring(rows, pivots, inst.size, inst.primes)
+            and localized._rhs_in_ring(rows, pivots, inst.primes)
         )
         expected = _outcome(qp_solve_exact, vecs, w, inst.primes)
         if not isinstance(expected, tuple):
