@@ -41,7 +41,6 @@ from .chains import (
     ChainCertificate,
     DivisorVector,
     certify,
-    divisor_candidates,
     image_lattice,
     map_point,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "ceil_div",
     "certify",
     "circuits",
-    "divisor_candidates",
     "evaluate",
     "expr_order",
     "factorize",

@@ -226,7 +226,8 @@ def parse_rational(value) -> Fraction:
     """Parse a JSON-style number: int, "p", "p/q" or "p.d" (exact, reduced).
 
     A Fraction comes back as it is: Fractions are immutable and reduced.
-    Exponent notation raises ValueError: "1e30000000" has 10^30000000.
+    ValueError on exponent notation ("1e30000000" has 10^30000000 digits),
+    "_" (Fraction reads it only from 3.11 on) and non-ASCII digits.
     """
     if type(value) is Fraction:
         return value
@@ -237,6 +238,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation is not read: {value!r}")
+        if "_" in value or not value.isascii():
+            raise ValueError(f"not a plain ASCII number: {value!r}")
         return Fraction(value.strip())
     raise ValueError(f"not a rational: {value!r}")
 
@@ -247,11 +250,13 @@ def format_rational(x) -> str:
 
 
 def parse_int(value) -> int:
-    """Parse a JSON-style integer: int or decimal string."""
+    """Parse a JSON-style integer: int or ASCII decimal string."""
     if isinstance(value, bool):
         raise ValueError(f"not an integer: {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if "_" in value or not value.isascii():
+            raise ValueError(f"not a plain ASCII number: {value!r}")
         return int(value.strip())
     raise ValueError(f"not an integer: {value!r}")

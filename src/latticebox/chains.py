@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import index
 
@@ -27,17 +28,16 @@ class DivisorVector:
     """A lattice member dividing every member at its nonzero coordinates.
 
     pos, neg and zero index its positive, negative and zero coordinates,
-    ascending. They fix the layout of the reduced coordinates v induces:
+    ascending. v fixes the layout of the reduced coordinates it induces:
     pairs (i, j), i < j, of nonzero coordinates in lexicographic order, then
-    the zero coordinates in ascending order. No permutation of the ambient
-    coordinates ever happens; bookkeeping stays in original indices.
+    the zero coordinates in ascending order. pairs is derived on first use,
+    by a level that maps to an image, so a rank-1 level never builds it.
     """
 
     v: tuple[int, ...]
     pos: tuple[int, ...]
     neg: tuple[int, ...]
     zero: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
 
     @classmethod
     def of(cls, v) -> "DivisorVector":
@@ -47,7 +47,11 @@ class DivisorVector:
         pos = tuple(i for i, x in enumerate(vec) if x > 0)
         neg = tuple(i for i, x in enumerate(vec) if x < 0)
         zero = tuple(i for i, x in enumerate(vec) if x == 0)
-        return cls(vec, pos, neg, zero, tuple(combinations(sorted(pos + neg), 2)))
+        return cls(vec, pos, neg, zero)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(combinations(sorted(self.pos + self.neg), 2))
 
 
 def map_point(div: DivisorVector, t) -> tuple[int, ...]:
@@ -73,8 +77,8 @@ def image_lattice(lat: Lattice, div: DivisorVector) -> Lattice:
     return Lattice(len(div.pairs) + len(div.zero), images)
 
 
-def divisor_candidates(lat: Lattice) -> Iterator[DivisorVector]:
-    """The divisor vectors of lat, one at a time, in a fixed order.
+def _walk(lat: Lattice) -> Iterator[list[int]]:
+    """The divisor vectors of lat as coordinate lists, in a fixed order.
 
     A member v divides everything iff each coordinate is either zero or has
     absolute value equal to the per-coordinate gcd d_i (v in the lattice
@@ -87,13 +91,6 @@ def divisor_candidates(lat: Lattice) -> Iterator[DivisorVector]:
     the echelon basis vanish left of p_k, so the walk's + - 0 order is
     lexicographic over the nonzero-gcd coordinates, + before - before 0.
     """
-    if lat.rank == 0:
-        raise ZeroLatticeError("zero lattice has no divisor vectors")
-    return map(DivisorVector.of, _walk(lat))
-
-
-def _walk(lat: Lattice) -> Iterator[list[int]]:
-    """The divisor vectors of lat as coordinate lists, in divisor_candidates' order."""
     d = lat.projection_gcds()
     # An explicit stack, so that no rank runs into the recursion limit.
     stack = [(0, [0] * lat.ambient_dim)]

@@ -81,10 +81,9 @@ def certset_to_json(certs: CertificateSet) -> dict:
 
 
 def chain_to_json(cert: ChainCertificate) -> dict:
+    """A level is its divisor v, which fixes its image, and its child."""
     return {
         "v": [str(x) for x in cert.divisor.v],
-        "pair_coords": [[i + 1, j + 1] for i, j in cert.divisor.pairs],
-        "zero_coords": [k + 1 for k in cert.divisor.zero],
         "child": chain_to_json(cert.child) if cert.child is not None else None,
     }
 

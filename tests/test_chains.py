@@ -1,16 +1,17 @@
+import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from latticebox import chains
+from latticebox import chains, serialize
 from latticebox.chains import (
     MAX_IMAGE_DIM,
     ChainCertificate,
     DivisorVector,
     certify,
-    divisor_candidates,
     image_lattice,
     map_point,
 )
@@ -20,6 +21,14 @@ from latticebox.errors import (
     ZeroLatticeError,
 )
 from latticebox.lattice import Lattice
+from rref_oracle import rref
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def divisor_candidates(lat):
+    """The divisor vectors of lat, in the walk's order."""
+    return map(DivisorVector.of, chains._walk(lat))
 
 
 def rand_lattice(rng, n_max=4, entry=6):
@@ -71,11 +80,6 @@ def test_divisor_candidates_examples():
     # candidates come lazily: the first of 3^12 - 1 sign patterns at once
     identity = Lattice(12, [[int(i == j) for j in range(12)] for i in range(12)])
     assert next(divisor_candidates(identity)).v == (1,) * 12
-
-
-def test_divisor_candidates_zero_lattice():
-    with pytest.raises(ZeroLatticeError):
-        divisor_candidates(Lattice(2, [(0, 0)]))
 
 
 def test_divisor_candidates_match_brute_force():
@@ -273,17 +277,90 @@ def test_cap_refusal_builds_no_pair_layout(monkeypatch):
     # all ones, whose pair layout alone would hold C(3000, 2) tuples
     n = 3000
     lat = Lattice(n, [[1] * (n - 1) + [0], [0] * (n - 1) + [1]])
-    build = DivisorVector.of.__func__
+    build = DivisorVector.pairs.func
 
-    def small_only(cls, v):
-        if sum(1 for x in v if x) > 12:
+    def small_only(div):
+        if len(div.pos) + len(div.neg) > 12:
             raise AssertionError("built the pair layout of an over-cap divisor")
-        return build(cls, v)
+        return build(div)
 
-    monkeypatch.setattr(DivisorVector, "of", classmethod(small_only))
+    monkeypatch.setattr(DivisorVector, "pairs", property(small_only))
     dim = n * (n - 1) // 2
     with pytest.raises(ResourceLimitError, match=f"image dimension {dim} exceeds cap"):
         certify(lat)
+
+
+def test_rank1_chain_builds_no_pair_layout():
+    # one generator of 3000 ones: a rank-1 level needs only v, not the
+    # C(3000, 2) = 4,498,500 pairs of its layout
+    chain = certify(Lattice(3000, [[1] * 3000]))
+    assert chain.child is None
+    assert "pairs" not in vars(chain.divisor)
+    assert len(serialize.dumps(serialize.chain_to_json(chain))) < 40_000
+
+
+def check_chain_json(n, gens, level):
+    """Check a chain JSON from v alone, by the layout rule of the README.
+
+    At each level v must be a member of the current lattice whose nonzero
+    coordinates divide the matching coordinate of every current generator.
+    Each generator g then maps to g_i/v_i - g_j/v_j over the pairs i < j
+    of v's nonzero coordinates, in lexicographic order, followed by g_k on
+    v's zero coordinates, ascending. The images vanish exactly at the last
+    level, and there is one level per unit of rank.
+    """
+    rank = len(rref([[Fraction(x) for x in g] for g in gens], n)[1])
+    levels = 0
+    while level is not None:
+        v = [int(x) for x in level["v"]]
+        assert len(v) == n and Lattice(n, gens).member(v)
+        support = [i for i in range(n) if v[i]]
+        assert all(g[i] % v[i] == 0 for g in gens for i in support)
+        gens = [
+            [g[i] // v[i] - g[j] // v[j] for i, j in combinations(support, 2)]
+            + [g[k] for k in range(n) if not v[k]]
+            for g in gens
+        ]
+        n = len(gens[0])
+        level = level["child"]
+        assert (level is None) == (not any(map(any, gens)))
+        levels += 1
+    assert levels == rank
+
+
+def test_chain_json_rebuilds_from_divisors():
+    in_class = 0
+    for case in json.loads((CORPUS / "manifest.json").read_text()):
+        if case["argv"][0] != "certify":
+            continue
+        out = json.loads((CORPUS / "expected" / f"{case['name']}.json").read_text())
+        if not out["in_class"]:
+            continue
+        lat = json.loads(Path(CORPUS.parent.parent, case["argv"][1]).read_text())
+        gens = [[int(x) for x in g] for g in lat["generators"]]
+        check_chain_json(lat["ambient_dim"], gens, out["certificate"])
+        in_class += 1
+    assert in_class == 2
+
+    rng = random.Random(20261020)
+    mixed = 0
+    for _ in range(300):
+        lat = rand_lattice(rng, n_max=5, entry=3)
+        if lat.rank == 0:
+            continue
+        try:
+            chain = certify(lat)
+        except ResourceLimitError:
+            continue
+        if chain is None:
+            continue
+        check_chain_json(lat.ambient_dim, lat.basis, serialize.chain_to_json(chain))
+        # a level with both pairs and zero coordinates pins their order
+        while chain.child is not None:
+            s = sum(map(bool, chain.divisor.v))
+            mixed += 2 <= s < len(chain.divisor.v)
+            chain = chain.child
+    assert mixed >= 10
 
 
 def certify_unmemoized(lat, max_dim=MAX_IMAGE_DIM, visited=None):

@@ -201,6 +201,22 @@ def test_string_in_place_of_array_is_malformed(tmp_path, command, payload):
     assert rc == 1 and out == "" and "JSON array" in err
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("command", ["certify", "qpsolve"])
+def test_non_ascii_or_underscore_number_is_malformed(tmp_path, command, text):
+    # int reads both strings on every Python, Fraction reads "1_0" only
+    # from 3.11 on: neither is a plain decimal string
+    if command == "certify":
+        payload = {"ambient_dim": 2, "generators": [[text, "2"]]}
+    else:
+        payload = {"vectors": [[text]], "target": ["1"], "lower": ["0"], "upper": ["2"]}
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli([command, str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: not a plain ASCII number")
+
+
 @pytest.mark.parametrize("command", ["no-such-command", "gen-corpus"])
 def test_exit_code_usage_error(tmp_path, command):
     # the corpus instances are committed files: no command writes them
