@@ -5,11 +5,11 @@ Miller-Rabin primality check for desk-scale integers, membership tests for
 rings of rationals whose reduced denominators factor over a fixed finite
 set of primes, and exact elimination over the rationals.
 
-Every rational elimination goes through eliminate, one fraction-free
-integer row operation divided by its content (after Bareiss 1968): echelon,
-the circuit walk and the simplex basis exchange all call it. The Hermite
-form behind Lattice (lattice._echelon_rows) stays apart, as it needs
-unimodular row steps and eliminate scales the row it reduces.
+Every rational elimination goes through eliminate, one fraction-free integer
+row operation divided by its content (after Bareiss 1968), and every pivot
+step through clear_column, which echelon, the simplex and the refinement
+share. The Hermite form behind Lattice (lattice._echelon_rows) stays apart,
+as it needs unimodular row steps and eliminate scales the row it reduces.
 """
 
 from __future__ import annotations
@@ -193,14 +193,23 @@ def eliminate(row, pivot_row, col):
     return [u // g for u in out] if g > 1 else out
 
 
+def clear_column(rows, r: int, col: int) -> None:
+    """In place: make rows[r][col] positive, then eliminate col from other rows."""
+    if rows[r][col] < 0:
+        rows[r] = [-u for u in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[col]:
+            rows[i] = eliminate(row, rows[r], col)
+
+
 def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     """Integer Gauss-Jordan form of rational rows, and its pivot columns.
 
-    Each row is first cleared of denominators. Only the first ncols columns
-    are pivoted on, so columns beyond them (a right-hand side) ride along.
-    Pivot row r holds a positive entry at pivots[r] and every other row a 0
-    there; divided by that entry it is row r of the reduced row echelon
-    form. The input rows are not modified.
+    The input rows are copied and cleared of denominators. Only the first
+    ncols columns are pivoted on, so columns beyond them (a right-hand side)
+    ride along. Each pivot is a row swap and one clear_column. Pivot row r
+    holds a positive entry at pivots[r] and every other row a 0 there;
+    divided by that entry it is row r of the reduced row echelon form.
     """
     mat = []
     for row in rows:
@@ -213,11 +222,7 @@ def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        if mat[rank][col] < 0:
-            mat[rank] = [-u for u in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                mat[r] = eliminate(mat[r], mat[rank], col)
+        clear_column(mat, rank, col)
         pivots.append(col)
     return mat, pivots
 

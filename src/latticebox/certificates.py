@@ -281,7 +281,9 @@ def solve_box(cert: ChainCertificate, box: Box):
 
     The lift is read off z in closed form. With i0 the first nonzero
     coordinate of v, set y_i0 = 0, y_j = -z[(i0, j)]·v_j on every other
-    nonzero j, and y_k = z_k on the zero coordinates. When z is in the
+    nonzero j, and y_k = z_k on the zero coordinates. The pairs are in
+    lexicographic order, so the (i0, j) are z's first s - 1 entries (s the
+    support size) and the zero coordinates its last. When z is in the
     image with some preimage y*, this y equals y* - r·v for r = y*_i0/v_i0,
     so it lies in the coset y* + Zv of all preimages (the map's kernel
     inside the lattice is exactly Zv), and the smallest t picks the same
@@ -321,12 +323,10 @@ def solve_box(cert: ChainCertificate, box: Box):
     if z is None:
         return None
 
-    i0 = min(div.pos + div.neg)
     y = [0] * lat.ambient_dim
-    for (i, j), zij in zip(div.pairs, z):
-        if i == i0:
-            y[j] = -zij * v[j]
-    for k, zk in zip(div.zero, z[len(div.pairs):]):
+    for j, zj in zip(sorted(div.pos + div.neg)[1:], z):
+        y[j] = -zj * v[j]
+    for k, zk in zip(div.zero, z[len(z) - len(div.zero):]):
         y[k] = zk
     if map_point(div, y) != z or not lat.member(y):
         raise InconsistencyError("child witness is outside the image lattice")

@@ -30,8 +30,9 @@ class DivisorVector:
     pos, neg and zero index its positive, negative and zero coordinates,
     ascending. v fixes the layout of the reduced coordinates it induces:
     pairs (i, j), i < j, of nonzero coordinates in lexicographic order, then
-    the zero coordinates in ascending order. pairs is derived on first use,
-    by a level that maps to an image, so a rank-1 level never builds it.
+    the zero coordinates in ascending order, image_dim = C(s, 2) + n - s in
+    all for a support of size s. pairs is derived on first use, by a level
+    that maps to an image, so a rank-1 or refused level never builds it.
     """
 
     v: tuple[int, ...]
@@ -52,6 +53,11 @@ class DivisorVector:
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(combinations(sorted(self.pos + self.neg), 2))
+
+    @property
+    def image_dim(self) -> int:
+        s = len(self.pos) + len(self.neg)
+        return s * (s - 1) // 2 + len(self.zero)
 
 
 def map_point(div: DivisorVector, t) -> tuple[int, ...]:
@@ -74,7 +80,7 @@ def map_point(div: DivisorVector, t) -> tuple[int, ...]:
 def image_lattice(lat: Lattice, div: DivisorVector) -> Lattice:
     """Canonical lattice spanned by the images of the basis vectors."""
     images = [map_point(div, row) for row in lat.basis]
-    return Lattice(len(div.pairs) + len(div.zero), images)
+    return Lattice(div.image_dim, images)
 
 
 def _walk(lat: Lattice) -> Iterator[list[int]]:
@@ -130,11 +136,10 @@ def certify(lat: Lattice):
     Candidates are tried as the walk finds them, and the first fully
     certifying choice wins, so output is reproducible. Recursion terminates
     because the rank drops by one per level, and at rank 1 any candidate
-    empties the lattice. The ambient dimension of the images can grow; it
-    is read from the candidate's support s (its s(s-1)/2 pairs plus its
-    zero coordinates), so a level beyond MAX_IMAGE_DIM raises
-    ResourceLimitError before its pair layout or image is built rather
-    than searching a blown-up space.
+    empties the lattice. The images can grow: the first candidate whose
+    DivisorVector.image_dim exceeds MAX_IMAGE_DIM raises ResourceLimitError,
+    at any depth and before its pair layout or image is built, even when a
+    later candidate would fit.
 
     Different divisors often map to the same image lattice. A lattice is
     canonical and hashable, and a search that found no chain for it finds
@@ -150,15 +155,13 @@ def _search(lat: Lattice, failed: set):
     if lat in failed:
         return None
     for v in _walk(lat):
-        if lat.rank == 1:
-            return ChainCertificate(lat, DivisorVector.of(v), None)
-        s = sum(1 for x in v if x)
-        dim = s * (s - 1) // 2 + len(v) - s
-        if dim > MAX_IMAGE_DIM:
-            raise ResourceLimitError(
-                f"image dimension {dim} exceeds cap {MAX_IMAGE_DIM}"
-            )
         div = DivisorVector.of(v)
+        if lat.rank == 1:
+            return ChainCertificate(lat, div, None)
+        if div.image_dim > MAX_IMAGE_DIM:
+            raise ResourceLimitError(
+                f"image dimension {div.image_dim} exceeds cap {MAX_IMAGE_DIM}"
+            )
         sub = _search(image_lattice(lat, div), failed)
         if sub is not None:
             return ChainCertificate(lat, div, sub)

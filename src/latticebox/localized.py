@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
-from .arith import PrimeSet, echelon, eliminate, in_qp, parse_rational
+from .arith import PrimeSet, clear_column, echelon, eliminate, in_qp, parse_rational
 from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
@@ -141,7 +141,7 @@ def _lexmin(system, lower, upper):
     each at its minimum before the next; returns None when the set is
     empty. This is an exact bounded-variable simplex on integer rows, each
     scaled to a positive basic entry that ratios and updates divide by; a
-    basis exchange is one arith.eliminate per row. The echelon form of the
+    basis exchange is one arith.clear_column. The echelon form of the
     equalities gives the first basis, with every nonbasic variable at its
     lower bound.
     Phase 1 widens the bounds of each basic variable that starts outside
@@ -232,11 +232,7 @@ def _lexmin(system, lower, upper):
                 x[b] -= move * row[j] // row[b]
             if leave is None:
                 continue
-            if rows[leave][j] < 0:
-                rows[leave] = [-a for a in rows[leave]]
-            for r, row in enumerate(rows):
-                if r != leave and row[j]:
-                    rows[r] = eliminate(row, rows[leave], j)
+            clear_column(rows, leave, j)
             basis[leave] = j
 
     for k in range(m):
@@ -335,11 +331,11 @@ def _fix_column(rows, pivots, h, value) -> bool:
 
     Folds value times column h into the right-hand side and zeroes the
     column, so the rows become the echelon rows of the family without v_h
-    and the target w - value·v_h. If h was a pivot, its row pivots on its
-    first nonzero column, the one a fresh echelon pass picks: that column
-    is spanned by the earlier ones only with v_h. With no such column the
-    row leaves; False then means its right-hand side is nonzero, so the new
-    target is outside the span. rows and pivots are updated in place.
+    and the target w - value·v_h. If h was a pivot, clear_column re-pivots
+    its row on its first nonzero column, the one a fresh echelon pass
+    picks: that column is spanned by the earlier ones only with v_h. With
+    none the row leaves; False then means its right-hand side is nonzero,
+    so the new target is outside the span. rows and pivots change in place.
     """
     for r, row in enumerate(rows):
         if row[h]:
@@ -354,11 +350,7 @@ def _fix_column(rows, pivots, h, value) -> bool:
     if col is None:
         del rows[r], pivots[r]
         return row[-1] == 0
-    if row[col] < 0:
-        rows[r] = row = [-a for a in row]
-    for i, other in enumerate(rows):
-        if i != r and other[col]:
-            rows[i] = eliminate(other, row, col)
+    clear_column(rows, r, col)
     pivots[r] = col
     return True
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from latticebox.arith import (
     PrimeSet,
     ceil_div,
+    clear_column,
     echelon,
     eliminate,
     factorize,
@@ -284,6 +285,34 @@ def test_eliminate_keeps_row_sign():
         assert out[col] == 0
         for c in others:
             assert (out[c] > 0) == (row[c] > 0) and (out[c] < 0) == (row[c] < 0)
+
+
+def test_clear_column_pivots_in_place():
+    # the pivot entry ends positive, its column is 0 in every other row,
+    # and neither the matrix's row space nor any row's span with the pivot
+    # row changes
+    def space(mat, width):
+        return rref([[F(a) for a in row] for row in mat], width)
+
+    rng = random.Random(1970)
+    negative = 0
+    for _ in range(3000):
+        height, width = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(height)]
+        r, col = rng.randrange(height), rng.randrange(width)
+        if rows[r][col] == 0:
+            rows[r][col] = rng.choice((-3, -2, -1, 1, 2, 3))
+        negative += rows[r][col] < 0
+        before = [list(row) for row in rows]
+        clear_column(rows, r, col)
+        assert rows[r][col] > 0
+        assert all(row[col] == 0 for i, row in enumerate(rows) if i != r)
+        assert space(rows, width) == space(before, width)
+        for old, new in zip(before, rows):
+            # new lies in the span of old and the pivot row: no rank gain
+            pair = [old, before[r]]
+            assert space(pair + [new], width)[1] == space(pair, width)[1]
+    assert negative > 1000
 
 
 @pytest.mark.parametrize(

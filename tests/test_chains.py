@@ -299,6 +299,20 @@ def test_rank1_chain_builds_no_pair_layout():
     assert len(serialize.dumps(serialize.chain_to_json(chain))) < 40_000
 
 
+def test_image_dim_needs_no_pair_layout():
+    # image_dim is the length of the reduced layout, read without building it
+    rng = random.Random(2803)
+    seen = 0
+    for _ in range(300):
+        for div in divisor_candidates(rand_lattice(rng)):
+            assert div.image_dim == len(div.pairs) + len(div.zero)
+            seen += 1
+    assert seen > 300
+    div = DivisorVector.of([1] * 3000)
+    assert div.image_dim == 4_498_500
+    assert "pairs" not in vars(div)
+
+
 def check_chain_json(n, gens, level):
     """Check a chain JSON from v alone, by the layout rule of the README.
 

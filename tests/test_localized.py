@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from latticebox import localized
+from latticebox import arith, localized
 from latticebox.arith import PrimeSet, eliminate, in_qp
 from latticebox.circuits import circuits, prime_set
 from latticebox.errors import (
@@ -301,7 +301,7 @@ def _lexmin_instance(rng):
 def test_lexmin_matches_fraction_oracle(monkeypatch):
     # the integer simplex must take the pivot path of the Fraction one:
     # the same vertex, or None, and the same arith.eliminate calls in the
-    # same order
+    # same order; the simplex makes them inside arith.clear_column
     calls = {"int": [], "oracle": []}
 
     def recorded(side):
@@ -311,7 +311,7 @@ def test_lexmin_matches_fraction_oracle(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(localized, "eliminate", recorded("int"))
+    monkeypatch.setattr(arith, "eliminate", recorded("int"))
     monkeypatch.setattr(lexmin_oracle, "eliminate", recorded("oracle"))
     rng = random.Random(24021)
     seen = Counter()

@@ -28,3 +28,46 @@ def test_modules_parse_at_the_python_floor():
     # requires-python is >=3.10: no module may use later syntax
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _used_names(tree):
+    """Every name a module reads, including names in string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= _used_names(ast.parse(note.value, mode="eval"))
+    return used
+
+
+def test_package_has_no_unused_imports_or_private_names():
+    # a name imported and never read, or a private function or class that
+    # nothing names, is a leftover; __init__.py imports to re-export
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    used = {name: _used_names(tree) for name, tree in trees.items()}
+    unused, unnamed = [], []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if name == "__init__.py" or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used[name]:
+                    unused.append(f"{name}: {bound}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not any(
+                    node.name in names for names in used.values()
+                ):
+                    unnamed.append(f"{name}: {node.name}")
+    assert len(trees) > 1
+    assert (unused, unnamed) == ([], [])
