@@ -163,6 +163,10 @@ class Box:
     upper: tuple[int, ...]
 
     def __post_init__(self):
+        # operator.index raises TypeError on a float or a string and turns
+        # any other integer type, bool included, into an int
+        object.__setattr__(self, "lower", tuple(map(index, self.lower)))
+        object.__setattr__(self, "upper", tuple(map(index, self.upper)))
         if len(self.lower) != len(self.upper):
             raise DimensionError("box bound lengths differ")
         for lo, hi in zip(self.lower, self.upper):
@@ -172,7 +176,7 @@ class Box:
     @classmethod
     def of(cls, lower, upper) -> "Box":
         """A box from integer bounds; floats and strings raise TypeError."""
-        return cls(tuple(map(index, lower)), tuple(map(index, upper)))
+        return cls(lower, upper)
 
     @property
     def dim(self) -> int:

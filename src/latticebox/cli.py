@@ -166,9 +166,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         handler, _ = _COMMANDS[args.command]
         data = json.loads(Path(args.input).read_text())
-        text = serialize.dumps(handler(data, args))
+        payload = handler(data, args)
+        # the file is complete before stdout sees a byte: a failed write
+        # leaves stdout empty
         if args.output:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as out:
+                serialize.dump(payload, out)
+        serialize.dump(payload, sys.stdout)
     except (
         _UsageError,
         OSError,
@@ -183,7 +187,6 @@ def main(argv=None) -> int:
         if isinstance(exc, InconsistencyError):
             return 3
         return 2 if isinstance(exc, ResourceLimitError) else 1
-    sys.stdout.write(text)
     return 0
 
 

@@ -4,11 +4,18 @@ Data values (vector entries, bounds, coefficients, divisors, primes) are
 serialized as decimal strings so arbitrary precision survives the JSON
 round trip; structural numbers (dimensions, ranks, indices) stay plain
 JSON integers. Indices in payloads are 1-based.
+
+A certificate set is a DAG: a node shared by several expressions is
+encoded from one dict, which the JSON text writes out in full at every
+use. dump writes a result in batches as it is encoded, so neither the
+tree nodes nor the whole text are ever held at once.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from itertools import chain, islice
 
 from .arith import PrimeSet, format_rational, parse_int, parse_rational
 from .certificates import (
@@ -28,8 +35,27 @@ from .lattice import Lattice
 from .localized import RefinementTrace
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+# iterencode yields a few bytes per chunk; one write per chunk is slow on an
+# unbuffered stream (PYTHONUNBUFFERED=1), one write per result holds it all
+_BATCH = 8192
+
+
+def dump(payload, stream) -> None:
+    """Write dumps(payload) to stream, a batch of encoded chunks at a time.
+
+    The final newline rides in the last batch, so a small result is one write.
+    """
+    chunks = chain(_ENCODER.iterencode(payload), "\n")
+    while batch := "".join(islice(chunks, _BATCH)):
+        stream.write(batch)
+
+
 def dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    dump(payload, out)
+    return out.getvalue()
 
 
 def _array(data) -> list:
@@ -53,30 +79,43 @@ def box_from_json(data) -> Box:
 
 
 def expr_to_json(expr: Expr) -> dict:
+    """One dict per distinct node object: a shared node gives a shared dict."""
+    return _expr_json(expr, {})
+
+
+def _expr_json(expr: Expr, memo: dict) -> dict:
+    """expr_to_json with memo: id(node) -> its dict, valid for one call only."""
+    data = memo.get(id(expr))
+    if data is not None:
+        return data
     if isinstance(expr, Lower):
-        return {"op": "a", "i": expr.i + 1}
-    if isinstance(expr, Upper):
-        return {"op": "b", "i": expr.i + 1}
-    if isinstance(expr, Neg):
-        return {"op": "neg", "arg": expr_to_json(expr.arg)}
-    if isinstance(expr, FloorDiv):
-        return {"op": "floordiv", "m": str(expr.m), "arg": expr_to_json(expr.arg)}
-    if isinstance(expr, CeilDiv):
-        return {"op": "ceildiv", "m": str(expr.m), "arg": expr_to_json(expr.arg)}
-    if isinstance(expr, Diff):
-        return {
+        data = {"op": "a", "i": expr.i + 1}
+    elif isinstance(expr, Upper):
+        data = {"op": "b", "i": expr.i + 1}
+    elif isinstance(expr, Neg):
+        data = {"op": "neg", "arg": _expr_json(expr.arg, memo)}
+    elif isinstance(expr, FloorDiv):
+        data = {"op": "floordiv", "m": str(expr.m), "arg": _expr_json(expr.arg, memo)}
+    elif isinstance(expr, CeilDiv):
+        data = {"op": "ceildiv", "m": str(expr.m), "arg": _expr_json(expr.arg, memo)}
+    elif isinstance(expr, Diff):
+        data = {
             "op": "diff",
-            "lhs": expr_to_json(expr.lhs),
-            "rhs": expr_to_json(expr.rhs),
+            "lhs": _expr_json(expr.lhs, memo),
+            "rhs": _expr_json(expr.rhs, memo),
         }
-    raise TypeError(f"not an expression node: {expr!r}")
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    memo[id(expr)] = data
+    return data
 
 
 def certset_to_json(certs: CertificateSet) -> dict:
+    memo: dict = {}
     return {
         "n": certs.ambient_dim,
         "rank": certs.rank,
-        "exprs": [expr_to_json(e) for e in certs.exprs],
+        "exprs": [_expr_json(e, memo) for e in certs.exprs],
     }
 
 

@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from tree_oracle import tree_value
@@ -38,7 +39,7 @@ from latticebox.errors import (
 )
 from latticebox.lattice import Lattice
 from latticebox.localized import near_integers_solve
-from latticebox.serialize import certset_to_json, dumps
+from latticebox.serialize import certset_to_json, dump, dumps
 
 
 def rand_box(rng, n, bound=8):
@@ -61,6 +62,13 @@ def test_box_validation():
     for lower, upper in (((0.5,), (0.9,)), (("0",), ("1",)), ((Fraction(1),), (2,))):
         with pytest.raises(TypeError):
             Box.of(lower, upper)
+    # a directly built box checks its bounds too: Box((0.5, 0.5), (2.5, 2.5))
+    # once gave solve_box the float witness (1.0, 1.0) on Lattice(2, [[1, 1]])
+    for lower, upper in (((0.5,), (1,)), (("0",), (1,)), ((0.5, 0.5), (2.5, 2.5))):
+        with pytest.raises(TypeError):
+            Box(lower, upper)
+    box = Box([True], (2,))
+    assert box == Box.of((1,), (2,)) and type(box.lower[0]) is int
 
 
 def test_evaluate_examples():
@@ -254,6 +262,37 @@ def test_reference_anchor():
         hashlib.sha256(text).hexdigest()
         == "ef05fa41860c34f26dbb49c00890f53f2a011062bcd0f5ec1a9e14cb5dde966d"
     )
+
+
+def _dicts(data, seen):
+    """Records every dict reached from data in seen, by id."""
+    if isinstance(data, dict) and id(data) not in seen:
+        seen[id(data)] = data
+        for value in data.values():
+            _dicts(value, seen)
+    elif isinstance(data, list):
+        for value in data:
+            _dicts(value, seen)
+
+
+def test_reference_json_shares_dicts_and_streams():
+    # one dict per distinct node, not per tree node (31,594), and dump
+    # writes the same bytes as dumps in batches, never the whole text at once
+    lat = Lattice(4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    payload = certset_to_json(generate_certificates(certify(lat)))
+    seen = {}
+    _dicts(payload["exprs"], seen)
+    assert len(seen) == 778
+    writes = []
+    dump(payload, SimpleNamespace(write=writes.append))
+    text = "".join(writes)
+    assert text == dumps(payload)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "ef05fa41860c34f26dbb49c00890f53f2a011062bcd0f5ec1a9e14cb5dde966d"
+    )
+    assert len(writes) > 1
+    assert max(len(w.encode()) for w in writes) < 1_000_000
 
 
 def test_solve_box_witness_digest(monkeypatch):
