@@ -118,9 +118,13 @@ def _witness_json(witness) -> dict:
     return {"feasible": True, "witness": [str(x) for x in witness]}
 
 
+def _vectors(data) -> list:
+    """The "vectors" family, its outer list checked like every inner one."""
+    return [serialize.rationals_from_json(v) for v in serialize._array(data["vectors"])]
+
+
 def _cmd_circuits(data, args) -> dict:
-    vectors = [serialize.rationals_from_json(v) for v in data["vectors"]]
-    found = circuits(vectors)
+    found = circuits(_vectors(data))
     return {
         "circuits": [serialize.circuit_to_json(c) for c in found],
         "prime_set": serialize.primes_to_json(prime_set_of_circuits(found)),
@@ -128,7 +132,7 @@ def _cmd_circuits(data, args) -> dict:
 
 
 def _cmd_qpsolve(data, args) -> dict:
-    vectors = [serialize.rationals_from_json(v) for v in data["vectors"]]
+    vectors = _vectors(data)
     target = serialize.rationals_from_json(data["target"])
     lower = serialize.rationals_from_json(data["lower"])
     upper = serialize.rationals_from_json(data["upper"])

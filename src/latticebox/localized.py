@@ -4,10 +4,13 @@ Given vectors v_1..v_m, a target w, and box bounds whose denominators
 factor over the family's circuit primes P, a rational box-constrained
 solution of sum(x_i v_i) = w can always be refined into one whose
 coordinates all lie in the ring Q_P of P-smooth-denominator rationals.
-The refinement walks the constructive induction: coordinates already in
-the ring are fixed one at a time, and when no coordinate qualifies, a
-single perturbation along a circuit direction lands one coordinate in the
-ring without leaving the box or changing the target.
+A point whose coordinates are all in the ring already is its own
+refinement, with an empty trace; this covers the simplex vertex that
+near_integers_solve starts from. From any other point the refinement
+walks the constructive induction: coordinates already in the ring are
+fixed one at a time, and when no coordinate qualifies, a single
+perturbation along a circuit direction lands one coordinate in the ring
+without leaving the box or changing the target.
 
 The recursion keeps the top-level prime set throughout. Shrinking to the
 remaining subfamily's prime set (and rescaling bounds to compensate) can
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
-from .arith import PrimeSet, clear_column, echelon, eliminate, in_qp, parse_rational
+from .arith import PrimeSet, clear_column, echelon, in_qp, parse_rational
 from .circuits import Circuit, circuits, prime_set_of_circuits
 from .errors import (
     DimensionError,
@@ -259,8 +262,8 @@ def rational_box_solve(vectors, target, lower, upper):
     fixed by the free coordinates to its right before its own turn comes.
     The simplex runs on integer numerators over one common denominator;
     the vertex comes back as Fractions, and _solves re-checks it on
-    integers before it is returned. With an empty prime set this vertex
-    is also the answer of near_integers_solve and refine_to_qp (see
+    integers before it is returned. This vertex is also the answer of
+    near_integers_solve, and of refine_to_qp with an empty prime set (see
     _refine).
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
@@ -294,9 +297,9 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     outside the ring span, and raises PreconditionError when some v_j has
     coordinates over B outside the ring, the case the precondition rules
     out. _rhs_in_ring makes both ring tests on the integer echelon rows;
-    near_integers_solve and refine_to_qp use only that verdict, and _induct
-    keeps the rows through its steps, repeats only the tests and reads the
-    active family's independence off the rows.
+    near_integers_solve and refine_to_qp use only that verdict, and each
+    case1 step of _induct repeats it on the remaining family and residual
+    target, reading the family's independence off the same rows.
     """
     vecs, w = _parse(vectors, target)
     m = len(vecs)
@@ -324,35 +327,6 @@ def _rhs_in_ring(rows, pivots, primes) -> bool:
         if u > 1 and any(a % u for a in row[:-1]):
             raise PreconditionError("prime set misses a circuit prime of the family")
     return not any(row[-1] % u for row, u in zip(rows, parts))
-
-
-def _fix_column(rows, pivots, h, value) -> bool:
-    """Fix coordinate h at value in echelon rows of [v_0 ... v_{m-1} | w].
-
-    Folds value times column h into the right-hand side and zeroes the
-    column, so the rows become the echelon rows of the family without v_h
-    and the target w - value·v_h. If h was a pivot, clear_column re-pivots
-    its row on its first nonzero column, the one a fresh echelon pass
-    picks: that column is spanned by the earlier ones only with v_h. With
-    none the row leaves; False then means its right-hand side is nonzero,
-    so the new target is outside the span. rows and pivots change in place.
-    """
-    for r, row in enumerate(rows):
-        if row[h]:
-            fix = [0] * len(row)
-            fix[h], fix[-1] = value.denominator, value.numerator
-            rows[r] = eliminate(row, fix, h)
-    if h not in pivots:
-        return True
-    r = pivots.index(h)
-    row = rows[r]
-    col = next((j for j, a in enumerate(row[:-1]) if a), None)
-    if col is None:
-        del rows[r], pivots[r]
-        return row[-1] == 0
-    clear_column(rows, r, col)
-    pivots[r] = col
-    return True
 
 
 def refine_to_qp(inst: QpBoxInstance, x) -> tuple[tuple[Fraction, ...], RefinementTrace]:
@@ -383,15 +357,21 @@ def _refine(
     """refine_to_qp once its preconditions hold; re-checks the output.
 
     system is the _echelon_system of the instance; it is not modified.
-    A nonempty prime set runs _induct from xs. With an empty one the ring
-    is the integers and the answer is rational_box_solve's vertex: its
-    nonbasic coordinates sit at integer bounds, and its basic ones are
-    coordinates over a basis, in the ring by the circuit argument of
-    qp_solve_exact. The ring re-check below guards it.
+    With a nonempty prime set, xs is its own refinement, with no steps,
+    when every coordinate is in the ring; otherwise _induct runs from it.
+    A simplex vertex always is in the ring: its nonbasic coordinates sit
+    at bounds in the ring, and its basic ones are coordinates over a
+    basis, in the ring by the circuit argument of qp_solve_exact. With an
+    empty prime set the ring is the integers and the answer is
+    rational_box_solve's vertex, integral by the same argument. The checks
+    below guard every answer.
     """
     steps: list[RefineStep] = []
     if inst.primes:
-        y = _induct(inst, xs, system, steps)
+        if all(in_qp(xi, inst.primes) for xi in xs):
+            y = xs
+        else:
+            y = _induct(inst, xs, system, steps)
     else:
         y = _lexmin(system, inst.lower, inst.upper)
         if y is None:
@@ -415,26 +395,26 @@ def _induct(
 ) -> list[Fraction]:
     """The constructive induction over a nonempty prime set.
 
+    _refine calls it only from a start with a coordinate off the ring.
+
     Fixes one ring coordinate at a time (case1), or, when none is in the
     ring, perturbs along the first family circuit inside the active set
     until one is (case2). case2 moves only active coordinates, so cur is
     the returned point.
 
-    rows and pivots hold the integer echelon rows of the active family and
-    the residual target, started from system. Each case1 step updates them
-    with _fix_column and guards that the residual target stays in the ring
-    span of the active family, as qp_solve_exact on that family would: the
-    guard is a row update and _rhs_in_ring's tests, not a new elimination.
-    Each row has its own pivot, and _fix_column drops a row only when
-    nothing of it is left on the family, so len(pivots) is the active
-    rank: the active family is independent iff it equals len(active).
+    system holds the echelon rows of the active family and the residual
+    target w, the target less the fixed coordinates' part. Each case1 step
+    takes cur[h]·v_h off w, eliminates the remaining family afresh and
+    guards that w stays in its ring span, as qp_solve_exact on that family
+    would. case2 leaves w alone: a circuit adds up to zero. Each row has
+    its own pivot, so len(pivots) is the active rank: the active family is
+    independent iff it equals len(active).
     """
     primes = inst.primes
     active = list(range(inst.size))
     cur = list(xs)
-    mat, pivots = system
-    rows = [list(row) for row in mat]
-    pivots = list(pivots)
+    w = inst.target
+    pivots = system[1]
 
     while active:
         if len(pivots) == len(active):
@@ -463,15 +443,16 @@ def _induct(
 
         h = next((i for i in active if in_qp(cur[i], primes)), None)
         if h is not None:
-            if not _fix_column(rows, pivots, h, cur[h]) or not _rhs_in_ring(
-                rows, pivots, primes
-            ):
+            w = [t - cur[h] * a for t, a in zip(w, inst.vectors[h])]
+            active = [i for i in active if i != h]
+            system = _echelon_system([inst.vectors[i] for i in active], w)
+            if system is None or not _rhs_in_ring(*system, primes):
                 raise InconsistencyError(
                     "residual target left the ring span after fixing a "
                     "ring coordinate"
                 )
+            pivots = system[1]
             steps.append(RefineStep(case="case1", pivot=h, pivot_value=cur[h]))
-            active = [i for i in active if i != h]
             continue
 
         # No coordinate is in the ring: perturb along a circuit. Clear the
@@ -552,7 +533,8 @@ def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
     """Full pipeline: ring-span check, rational feasibility, refinement.
 
     Completeness comes from the refinement guarantee: when both checks
-    pass there is a ring solution in the box, and one is produced.
+    pass there is a ring solution in the box, and one is produced. The
+    simplex vertex already is one, so the refinement returns it.
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper)
     system = _echelon_system(inst.vectors, inst.target)

@@ -201,6 +201,23 @@ def test_string_in_place_of_array_is_malformed(tmp_path, command, payload):
     assert rc == 1 and out == "" and "JSON array" in err
 
 
+@pytest.mark.parametrize("command", ["circuits", "qpsolve"])
+@pytest.mark.parametrize(
+    "vectors, shown",
+    [("12", "'12'"), ({"a": ["1"]}, "{'a': ['1']}"), (None, "None")],
+    ids=["string", "object", "null"],
+)
+def test_family_that_is_not_an_array_is_named_whole(tmp_path, command, vectors, shown):
+    # the outer list of a family is checked before any vector is read, so
+    # the message names the whole value, not its first character or key
+    payload = {"vectors": vectors, "target": ["1"], "lower": ["0"], "upper": ["1"]}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli([command, str(path)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: expected a JSON array, got {shown}\n"
+
+
 @pytest.mark.parametrize("text", ["1_0", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
 @pytest.mark.parametrize("command", ["certify", "qpsolve"])
 def test_non_ascii_or_underscore_number_is_malformed(tmp_path, command, text):

@@ -23,6 +23,7 @@ from latticebox.errors import (
 )
 from latticebox.localized import (
     QpBoxInstance,
+    RefinementTrace,
     _echelon_system,
     near_integers_solve,
     qp_solve_exact,
@@ -423,11 +424,20 @@ def test_induct_guards():
     with pytest.raises(InconsistencyError, match=message):
         localized._refine(inst, [F(1, 3)], system)
 
-    # fixing x_0 = 1 leaves the target 2 - 1 over the zero vector alone
+    # a lone zero vector under a forged target 1 and prime set {2}: the
+    # off-ring start reaches _induct, whose base rule finds 0·x_0 != 1
+    inst = QpBoxInstance.build([[0]], [0], [0], [1])
+    system = _echelon_system(inst.vectors, inst.target)
+    inst = replace(inst, target=(F(1),), primes=PrimeSet([2]))
+    with pytest.raises(InconsistencyError, match="nonzero target over a zero vector"):
+        localized._refine(inst, [F(1, 3)], system)
+
+    # with every coordinate in the ring the start is the answer, and the
+    # output checks catch the forged target
     inst = QpBoxInstance.build([[1], [0]], [1], [0, 0], [2, 1])
     system = _echelon_system(inst.vectors, inst.target)
     inst = replace(inst, target=(F(2),), primes=PrimeSet([2]))
-    with pytest.raises(InconsistencyError, match="nonzero target over a zero vector"):
+    with pytest.raises(InconsistencyError, match="refined point no longer solves"):
         localized._refine(inst, [F(1), F(1, 2)], system)
 
 
@@ -613,7 +623,7 @@ def test_refine_identity_when_already_in_ring():
         [(2,), (3,)], (1,), (0, 0), (1, 1), (F(1, 2), F(0))
     )
     assert y == (F(1, 2), F(0))
-    assert all(s.case in ("case1", "base", "independent") for s in trace.steps)
+    assert trace.steps == ()
 
 
 def test_refine_zero_vector_base_rule():
@@ -624,7 +634,20 @@ def test_refine_zero_vector_base_rule():
     assert trace.steps[0].case == "integral_fallback"
 
     # inside the recursion the zero-vector base rule fires directly and
-    # pins the coordinate to its lower bound
+    # pins the coordinate to its lower bound; 7/5 is off the ring over
+    # {2, 3}, so the induction runs
+    inst, y, trace = refine_instance(
+        [(2,), (3,), (0,)],
+        (1,),
+        (0, 0, 1),
+        (1, 1, 2),
+        (F(1, 2), F(0), F(7, 5)),
+    )
+    assert y == (F(1, 2), F(0), F(1))
+    assert [s.case for s in trace.steps] == ["case1", "case1", "base"]
+    assert trace.steps[-1].pivot == 2
+
+    # from a point already in the ring there is nothing to refine
     inst, y, trace = refine_instance(
         [(2,), (3,), (0,)],
         (1,),
@@ -632,9 +655,7 @@ def test_refine_zero_vector_base_rule():
         (1, 1, 2),
         (F(1, 2), F(0), F(3, 2)),
     )
-    assert y == (F(1, 2), F(0), F(1))
-    last = trace.steps[-1]
-    assert last.case == "base" and last.pivot == 2
+    assert y == (F(1, 2), F(0), F(3, 2)) and trace.steps == ()
 
 
 def test_refine_precondition_errors():
@@ -820,8 +841,12 @@ def test_near_integers_solve_large_families():
         assert res.solvable
         check_solution(vecs, target, lower, upper, res.solution)
         assert all(in_qp(y, res.primes) for y in res.solution)
-        cases.update(s.case for s in res.trace.steps)
-    assert cases["integral_fallback"] > 0 and cases["case1"] > 0
+        # the simplex vertex is in the ring already; an empty prime set
+        # takes the integral fallback
+        steps = [s.case for s in res.trace.steps]
+        assert steps == ([] if res.primes else ["integral_fallback"])
+        cases[bool(res.primes)] += 1
+    assert cases[True] > 0 and cases[False] > 0
 
 
 _RAGGED = ([(1, 2), (3,)], (1, 1), (0, 0), (1, 1))
@@ -960,11 +985,14 @@ def test_refinement_trace_digest():
             y, trace = refine_to_qp(inst, hidden)
             record["hidden"] = [rationals_to_json(y), trace_to_json(trace)]
             cases.update(s.case for s in trace.steps)
+            if inst.primes and all(in_qp(h, inst.primes) for h in hidden):
+                assert (y, trace.steps) == (tuple(hidden), ())
+                cases["in ring"] += 1
         digest.update(json.dumps(record, sort_keys=True).encode())
-    assert cases["case2"] >= 10
+    assert cases["case2"] >= 10 and cases["in ring"] >= 100
     assert (
         digest.hexdigest()
-        == "8d22b17faf9761fdd1934b9ef534740ebbd37f5f11e30448f4c0f015e112d991"
+        == "8da0e05c31628d17fbd5d3b7210238ac6be85a5a7f7c2feab130be76759c76e3"
     )
 
 
@@ -1034,86 +1062,97 @@ def _outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
-def test_case1_guard_matches_fresh_elimination(monkeypatch):
-    # at each case1 step the kept echelon rows must be those of a fresh
-    # elimination of the remaining family and residual target: the same
-    # pivot columns, the same reduced rows, and the ring verdict, exception
-    # class and message of qp_solve_exact on that family
-    fix = localized._fix_column
-    state = {}
+def test_case1_guard_matches_fresh_elimination():
+    # each case1 step eliminates the remaining family and residual target
+    # afresh and asks qp_solve_exact's ring question of them. _refine runs
+    # on the guard families and, without refine_to_qp's checks, on the
+    # forged inputs; a start whose coordinates are all in the ring of a
+    # nonempty prime set comes back as it is, with no steps, unless an
+    # output check stops it
     seen = Counter()
-
-    def checked_fix(rows, pivots, h, value):
-        inst, fixed = state["inst"], state["fixed"]
-        fixed[h] = value
-        seen["pivot" if h in pivots else "free"] += 1
-        consistent = fix(rows, pivots, h, value)
-        remaining = [i for i in range(inst.size) if i not in fixed]
-        vecs = [inst.vectors[i] for i in remaining]
-        w = [
-            t - sum(x * inst.vectors[i][j] for i, x in fixed.items())
-            for j, t in enumerate(inst.target)
-        ]
-        fresh = _echelon_system(vecs, w)
-        assert consistent == (fresh is not None)
-        if fresh is not None:
-            mat, fresh_pivots = fresh
-            assert sorted(pivots) == [remaining[c] for c in fresh_pivots]
-            kept = sorted(
-                (col, [F(row[i], row[col]) for i in remaining + [-1]])
-                for row, col in zip(rows, pivots)
-            )
-            assert kept == [
-                (remaining[c], [F(a, row[c]) for a in row])
-                for row, c in zip(mat, fresh_pivots)
-            ]
-        verdict = _outcome(
-            lambda: consistent
-            and localized._rhs_in_ring(rows, pivots, inst.primes)
-        )
-        expected = _outcome(qp_solve_exact, vecs, w, inst.primes)
-        if not isinstance(expected, tuple):
-            expected = expected is not None
-        assert verdict == expected
-        seen["inconsistent"] += not consistent
-        seen[verdict if isinstance(verdict, tuple) else bool(verdict)] += 1
-        return consistent
 
     def refine(inst, x):
         system = _echelon_system(inst.vectors, inst.target)
-        state.update(inst=inst, fixed={})
-        return _outcome(localized._refine, inst, x, system)
+        out = _outcome(localized._refine, inst, x, system)
+        if inst.primes and all(in_qp(xi, inst.primes) for xi in x):
+            if not localized._solves(inst.vectors, inst.target, x):
+                kept = "InconsistencyError", "refined point no longer solves the system"
+            elif not all(a <= xi <= b for a, xi, b in zip(inst.lower, x, inst.upper)):
+                kept = "InconsistencyError", "refined point left the box"
+            else:
+                kept = tuple(x), RefinementTrace(())
+            assert out == kept
+            seen["in ring"] += 1
+        if isinstance(out[0], str):
+            seen[out] += 1
+        else:
+            seen.update(s.case for s in out[1].steps)
+        return out
 
-    monkeypatch.setattr(localized, "_fix_column", checked_fix)
     for inst, points in _guard_families(random.Random(24017), 900):
         if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
             continue
         seen["zero"] += any(not any(v) for v in inst.vectors)
         seen["repeat"] += len(set(inst.vectors)) < inst.size
         for x in points:
-            y, trace = refine(inst, x)
-            seen.update(s.case for s in trace.steps)
-    # the forged inputs reach the guard's failures; their outcomes are
-    # pinned as they were when every case1 step ran qp_solve_exact afresh
+            assert not isinstance(refine(inst, x)[0], str)
+    # the forged inputs reach the guard's failures; their outcomes are pinned
     digest = hashlib.sha256()
     for inst, points in _forged_instances(random.Random(24019), 900):
         for x in points:
             out = refine(inst, x)
-            if isinstance(out, tuple) and isinstance(out[0], str):
+            if isinstance(out[0], str):
                 digest.update(repr(out).encode())
-                seen[out] += 1
             else:
                 y, trace = out
                 record = [rationals_to_json(y), trace_to_json(trace)]
                 digest.update(json.dumps(record, sort_keys=True).encode())
-    assert seen["pivot"] > 1000 and seen["free"] > 500
+    assert seen["case1"] > 500 and seen["in ring"] > 1000
     assert seen["case2"] >= 100 and seen["zero"] >= 100 and seen["repeat"] >= 100
-    assert seen["inconsistent"] > 0 and seen[False] > 0
     assert seen[("PreconditionError", "prime set misses a circuit prime of the family")]
+    guard = "residual target left the ring span after fixing a ring coordinate"
+    assert seen[("InconsistencyError", guard)]
     assert (
         digest.hexdigest()
-        == "73eade3e28c503235aba4932cace53ea619af8cd0a4b91e7ca6c7dc80ad12213"
+        == "05a7dc52c58e6dcdc01db39d7b294e9dbaeb6b4451991efad91ec57330ff6f99"
     )
+
+
+def test_vertex_is_its_own_refinement(monkeypatch):
+    # with a nonempty prime set the simplex vertex is in the ring already,
+    # so near_integers_solve answers with it and never runs the induction
+    def no_induct(*args):
+        raise AssertionError("the induction ran")
+
+    monkeypatch.setattr(localized, "_induct", no_induct)
+    solved = 0
+    for vecs, target, lower, upper, _ in _trace_families(random.Random(24011), 2400):
+        try:
+            res = near_integers_solve(vecs, target, lower, upper)
+        except LatticeBoxError:
+            continue
+        if res.solvable and res.primes:
+            vertex = rational_box_solve(vecs, target, lower, upper)
+            assert (res.solution, res.trace.steps) == (tuple(vertex), ())
+            solved += 1
+    assert solved > 800
+
+
+def test_refinement_of_a_refined_point_is_itself():
+    # refine_to_qp's output is in the ring, so refining it again returns
+    # it with an empty trace whenever the prime set is nonempty
+    refined = Counter()
+    for inst, points in _guard_families(random.Random(24017), 900):
+        if not inst.primes:
+            continue
+        if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+            continue
+        for x in points:
+            y, trace = refine_to_qp(inst, x)
+            again = refine_to_qp(inst, y)
+            assert again == (y, RefinementTrace(()))
+            refined[bool(trace.steps)] += 1
+    assert refined[True] >= 100 and refined[False] >= 500
 
 
 def test_build_rejects_an_empty_bound_interval():
