@@ -11,7 +11,9 @@ the family, taken in increasing index order, with fraction-free integer
 elimination (no Fraction arithmetic). Each step reduces a vector against
 the rows already chosen by one integer row operation (arith.eliminate),
 so a node costs one row operation per remaining candidate. A dependent
-set is never extended: its supersets hold no new circuit.
+set is never extended: its supersets hold no new circuit. The walk hands
+each circuit to its caller as it is found: circuits() lists them, and
+prime_set() keeps only the distinct coefficient values.
 """
 
 from __future__ import annotations
@@ -70,11 +72,12 @@ def _extend(pending, at, n):
     return out
 
 
-def circuits(vectors) -> list[Circuit]:
-    """All circuits of the family, ordered by support.
+def _walk(vectors, found) -> None:
+    """Hand each circuit of the family to found(support, coeffs), in support order.
 
     The walk takes candidates in increasing index order and finishes each
     subtree before the next one, so supports come out sorted with no sort.
+    A call of found that returns a true value stops the walk.
 
     Every vector is cleared by one denominator, the lcm of all the family's
     denominators: a uniform scale changes no relation. The search runs on
@@ -116,8 +119,6 @@ def circuits(vectors) -> list[Circuit]:
         r += [int(i == j) for i in range(m)]
         root.append((j, r, _pivot(r, n)))
 
-    out = []
-
     def walk(chosen, pending):
         if len(chosen) > MAX_FAMILY_RANK:
             # the pending rows are zero on the chosen pivots: their ranks add
@@ -125,7 +126,8 @@ def circuits(vectors) -> list[Circuit]:
             raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
         for at, (j, row, col) in enumerate(pending):
             if col is not None:
-                walk(chosen + (j,), _extend(pending, at, n))
+                if walk(chosen + (j,), _extend(pending, at, n)):
+                    return True
                 continue
             support = chosen + (j,)
             raw = [row[n + i] for i in support]
@@ -133,21 +135,52 @@ def circuits(vectors) -> list[Circuit]:
                 continue
             g = gcd(*raw)
             sign = -1 if raw[0] < 0 else 1
-            out.append(Circuit(support, tuple(sign * x // g for x in raw)))
+            if found(support, tuple(sign * x // g for x in raw)):
+                return True
+        return False
 
     walk((), root)
+
+
+def circuits(vectors) -> list[Circuit]:
+    """All circuits of the family, ordered by support (see _walk)."""
+    out = []
+    _walk(vectors, lambda support, coeffs: out.append(Circuit(support, coeffs)))
     return out
 
 
+def first_circuit(vectors) -> Circuit | None:
+    """The first circuit of circuits(vectors), or None; the walk stops there."""
+    out = []
+
+    def stop(support, coeffs):
+        out.append(Circuit(support, coeffs))
+        return True
+
+    _walk(vectors, stop)
+    return out[0] if out else None
+
+
 def prime_set(vectors) -> PrimeSet:
-    """Primes dividing some coefficient of some circuit of the family."""
-    return prime_set_of_circuits(circuits(vectors))
+    """Primes dividing some coefficient of some circuit of the family.
+
+    The walk hands over each circuit's coefficients and only their distinct
+    absolute values are kept, not the circuits.
+    """
+    values: set[int] = set()
+    _walk(vectors, lambda support, coeffs: values.update(map(abs, coeffs)))
+    return _prime_set_of_values(values)
 
 
 def prime_set_of_circuits(circuit_list) -> PrimeSet:
-    """Primes dividing some coefficient; each distinct value is factorized once."""
+    """Primes dividing some coefficient of the listed circuits."""
+    return _prime_set_of_values({abs(x) for c in circuit_list for x in c.coeffs})
+
+
+def _prime_set_of_values(values) -> PrimeSet:
+    """Primes dividing some of the values; each value is factorized once."""
     primes: set[int] = set()
-    for x in {abs(x) for c in circuit_list for x in c.coeffs}:
+    for x in values:
         if x > 1:
             primes.update(factorize(x))
     return PrimeSet(primes)

@@ -5,10 +5,12 @@ factor over the family's circuit primes P, a rational box-constrained
 solution of sum(x_i v_i) = w can always be refined into one whose
 coordinates all lie in the ring Q_P of P-smooth-denominator rationals.
 A point whose coordinates are all in the ring already is its own
-refinement, with an empty trace; this covers the simplex vertex that
-near_integers_solve starts from. From any other point the refinement
-walks the constructive induction: coordinates already in the ring are
-fixed one at a time, and when no coordinate qualifies, a single
+refinement, with an empty trace. The simplex vertex always is one, so
+near_integers_solve answers with the vertex after one ring test per
+coordinate and never runs the refinement; refine_to_qp is there for
+callers with another starting point. From a point off the ring the
+refinement walks the constructive induction: coordinates already in the
+ring are fixed one at a time, and when no coordinate qualifies, a single
 perturbation along a circuit direction lands one coordinate in the ring
 without leaving the box or changing the target.
 
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .arith import PrimeSet, clear_column, echelon, in_qp, parse_rational
-from .circuits import Circuit, circuits, prime_set_of_circuits
+from .circuits import Circuit, circuits, first_circuit, prime_set
 from .errors import (
     DimensionError,
     InconsistencyError,
@@ -84,7 +86,6 @@ class QpBoxInstance:
     lower: tuple[Fraction, ...]
     upper: tuple[Fraction, ...]
     primes: PrimeSet
-    family_circuits: tuple[Circuit, ...]
 
     @classmethod
     def build(cls, vectors, target, lower, upper) -> "QpBoxInstance":
@@ -92,16 +93,20 @@ class QpBoxInstance:
         for a, b in zip(lo, hi):
             if a > b:
                 raise PreconditionError(f"empty bound interval [{a}, {b}]")
-        circs = tuple(circuits(vecs))
-        primes = prime_set_of_circuits(circs)
+        primes = prime_set(vecs)
         for x in lo + hi:
             if not in_qp(x, primes):
                 raise RingMembershipError(f"bound {x} is outside the ring")
-        return cls(vecs, w, lo, hi, primes, circs)
+        return cls(vecs, w, lo, hi, primes)
 
     @property
     def size(self) -> int:
         return len(self.vectors)
+
+    @property
+    def family_circuits(self) -> tuple[Circuit, ...]:
+        """The family's circuits in support order, walked afresh on each read."""
+        return tuple(circuits(self.vectors))
 
 
 @dataclass(frozen=True)
@@ -262,9 +267,9 @@ def rational_box_solve(vectors, target, lower, upper):
     fixed by the free coordinates to its right before its own turn comes.
     The simplex runs on integer numerators over one common denominator;
     the vertex comes back as Fractions, and _solves re-checks it on
-    integers before it is returned. This vertex is also the answer of
-    near_integers_solve, and of refine_to_qp with an empty prime set (see
-    _refine).
+    integers before it is returned. near_integers_solve answers with this
+    vertex, without refining it, and so does refine_to_qp with an empty
+    prime set (see _refine).
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
     return _box_solve(vecs, w, lo, hi, _echelon_system(vecs, w))
@@ -364,7 +369,8 @@ def _refine(
     basis, in the ring by the circuit argument of qp_solve_exact. With an
     empty prime set the ring is the integers and the answer is
     rational_box_solve's vertex, integral by the same argument. The checks
-    below guard every answer.
+    below guard every answer. near_integers_solve does not come here: it
+    answers with the vertex as this function would, with the same trace.
     """
     steps: list[RefineStep] = []
     if inst.primes:
@@ -399,8 +405,10 @@ def _induct(
 
     Fixes one ring coordinate at a time (case1), or, when none is in the
     ring, perturbs along the first family circuit inside the active set
-    until one is (case2). case2 moves only active coordinates, so cur is
-    the returned point.
+    until one is (case2). That circuit is the first one of the active
+    subfamily, its support mapped through active: the map is increasing,
+    so it keeps the support order. case2 moves only active coordinates, so
+    cur is the returned point.
 
     system holds the echelon rows of the active family and the residual
     target w, the target less the fixed coordinates' part. Each case1 step
@@ -464,9 +472,10 @@ def _induct(
         for i in active:
             if not in_qp(scaled[i], primes):
                 raise InconsistencyError("clearing factor failed")
-        circuit = next(
-            c for c in inst.family_circuits if all(i in active for i in c.support)
-        )
+        circuit = first_circuit([inst.vectors[i] for i in active])
+        if circuit is None:
+            raise InconsistencyError("no circuit inside the active set")
+        circuit = Circuit(tuple(active[i] for i in circuit.support), circuit.coeffs)
         coeff = dict(zip(circuit.support, circuit.coeffs))
         h = circuit.support[0]
         r_lo = None
@@ -530,11 +539,14 @@ class QpSolveResult:
 
 
 def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
-    """Full pipeline: ring-span check, rational feasibility, refinement.
+    """Full pipeline: ring-span check, rational feasibility, the vertex.
 
     Completeness comes from the refinement guarantee: when both checks
-    pass there is a ring solution in the box, and one is produced. The
-    simplex vertex already is one, so the refinement returns it.
+    pass there is a ring solution in the box. The simplex vertex already
+    is one (see _refine), so it is the answer, with the trace that
+    refine_to_qp would give it: no steps for a nonempty prime set, one
+    integral_fallback step for an empty one. _box_solve has checked its
+    equalities and bounds; one ring test per coordinate guards the rest.
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper)
     system = _echelon_system(inst.vectors, inst.target)
@@ -543,5 +555,7 @@ def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
     x = _box_solve(inst.vectors, inst.target, inst.lower, inst.upper, system)
     if x is None:
         return QpSolveResult(False, "no-rational-solution", None, None, inst.primes)
-    y, trace = _refine(inst, x, system)
-    return QpSolveResult(True, None, y, trace, inst.primes)
+    if not all(in_qp(xi, inst.primes) for xi in x):
+        raise InconsistencyError("simplex vertex is outside the ring")
+    steps = () if inst.primes else (RefineStep("integral_fallback"),)
+    return QpSolveResult(True, None, tuple(x), RefinementTrace(steps), inst.primes)

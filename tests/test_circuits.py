@@ -10,7 +10,13 @@ from rref_oracle import rref
 
 from latticebox import arith
 from latticebox.arith import PrimeSet
-from latticebox.circuits import Circuit, circuits, prime_set
+from latticebox.circuits import (
+    Circuit,
+    circuits,
+    first_circuit,
+    prime_set,
+    prime_set_of_circuits,
+)
 from latticebox.errors import DimensionError, ResourceLimitError
 
 
@@ -136,6 +142,34 @@ def test_circuits_match_brute_force():
     assert got == brute_circuits(vecs)
 
 
+def test_first_circuit_of_an_active_subfamily():
+    # the refinement's case2 walks the active subfamily for its first
+    # circuit; mapped through active, an increasing map, it is the first
+    # family circuit with its support inside active. The streamed prime
+    # set is the prime set of the listed circuits
+    rng = random.Random(31003)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        m = rng.randint(n + 1, 8)
+        vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        if rng.random() < 0.3:
+            vecs[rng.randrange(m)] = rng.choice(((0,) * n, vecs[0]))
+        found = circuits(vecs)
+        assert found
+        assert prime_set(vecs) == prime_set_of_circuits(found)
+        for _ in range(4):
+            active = sorted(rng.sample(range(m), rng.randint(1, m)))
+            sub = first_circuit([vecs[i] for i in active])
+            inside = (c for c in found if set(c.support) <= set(active))
+            expected = next(inside, None)
+            if sub is not None:
+                sub = Circuit(tuple(active[i] for i in sub.support), sub.coeffs)
+            assert sub == expected
+            seen[sub is not None] += 1
+    assert seen[True] > 500 and seen[False] > 50
+
+
 def test_zero_vector_singleton():
     found = circuits([(0, 0), (1, 2)])
     assert [(c.support, c.coeffs) for c in found] == [((0,), (1,))]
@@ -181,9 +215,6 @@ def test_prime_set_reorder_invariant():
 
 
 def test_prime_set_monotone_in_circuits():
-    from latticebox.circuits import circuits as circuits_of
-    from latticebox.circuits import prime_set_of_circuits
-
     rng = random.Random(167)
     for _ in range(40):
         m = rng.randint(2, 6)
@@ -191,7 +222,7 @@ def test_prime_set_monotone_in_circuits():
         vecs = [
             tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m)
         ]
-        found = circuits_of(vecs)
+        found = circuits(vecs)
         full = set(prime_set_of_circuits(found))
         for cut in range(len(found) + 1):
             partial = set(prime_set_of_circuits(found[:cut]))

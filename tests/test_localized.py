@@ -415,6 +415,14 @@ def test_refine_guards(monkeypatch):
             refine_to_qp(inst, [F(1, 2), F(1, 2)])
 
 
+def test_near_integers_ring_guard(monkeypatch):
+    # x_0 + x_1 = 1 has the empty prime set; a vertex that meets the
+    # equality inside the box but lies off the integers is refused
+    monkeypatch.setattr(localized, "_lexmin", lambda *args: [F(1, 2), F(1, 2)])
+    with pytest.raises(InconsistencyError, match="simplex vertex is outside the ring"):
+        near_integers_solve([[1], [1]], [1], [0, 0], [1, 1])
+
+
 def test_induct_guards():
     # forged inputs, as refine_to_qp's checks would stop them: 3·x = 1
     # forces x = 1/3, outside the ring over {2}
@@ -439,6 +447,14 @@ def test_induct_guards():
     inst = replace(inst, target=(F(2),), primes=PrimeSet([2]))
     with pytest.raises(InconsistencyError, match="refined point no longer solves"):
         localized._refine(inst, [F(1), F(1, 2)], system)
+
+    # a forged system with one pivot for an independent pair: case2 finds
+    # no circuit inside the active set, and says so
+    inst = QpBoxInstance.build([[1, 0], [0, 1]], [F(1, 3)] * 2, [0, 0], [1, 1])
+    inst = replace(inst, primes=PrimeSet([2]))
+    system = _echelon_system([[1], [1]], [F(2, 3)])
+    with pytest.raises(InconsistencyError, match="no circuit inside the active set"):
+        localized._refine(inst, [F(1, 3)] * 2, system)
 
 
 def test_empty_families_keep_their_answers():
@@ -1024,8 +1040,10 @@ def _guard_families(rng, count):
             for j, t in enumerate(target)
         ) and all(a <= h <= b for a, h, b in zip(lower, hidden, upper)):
             points.append(hidden)
-        if inst.family_circuits:
-            c = rng.choice(inst.family_circuits)
+        # each read of family_circuits walks the family again
+        circs = inst.family_circuits
+        if circs:
+            c = rng.choice(circs)
             q = _outside_prime(inst.primes)
             for t in (F(1, q), F(-1, q)):
                 moved = list(vertex)
@@ -1153,6 +1171,48 @@ def test_refinement_of_a_refined_point_is_itself():
             assert again == (y, RefinementTrace(()))
             refined[bool(trace.steps)] += 1
     assert refined[True] >= 100 and refined[False] >= 500
+
+
+def _staged_solve(vecs, target, lower, upper):
+    # near_integers_solve's answer from its four public stages, one by one
+    inst = QpBoxInstance.build(vecs, target, lower, upper)
+    if qp_solve_exact(inst.vectors, inst.target, inst.primes) is None:
+        return localized.QpSolveResult(False, "not-in-span", None, None, inst.primes)
+    x = rational_box_solve(inst.vectors, inst.target, inst.lower, inst.upper)
+    if x is None:
+        reason = "no-rational-solution"
+        return localized.QpSolveResult(False, reason, None, None, inst.primes)
+    y, trace = refine_to_qp(inst, x)
+    return localized.QpSolveResult(True, None, y, trace, inst.primes)
+
+
+def test_pipeline_matches_its_stages():
+    # acceptance-style families: entries -4..4, a hidden solution with
+    # denominators 1..6 and integer bounds 0-2 outside it; m <= n leaves
+    # independent families, whose prime set is empty. The answer equals the
+    # staged run, and the answers are pinned
+    rng = random.Random(31001)
+    digest = hashlib.sha256()
+    seen = Counter()
+    for _ in range(1200):
+        n, m = rng.randint(1, 3), rng.randint(1, 6)
+        vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        hidden = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
+        target = [sum(h * v[j] for h, v in zip(hidden, vecs)) for j in range(n)]
+        lower = [floor(h) - rng.randint(0, 2) for h in hidden]
+        upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
+        res = near_integers_solve(vecs, target, lower, upper)
+        assert res == _staged_solve(vecs, target, lower, upper)
+        cases = None if res.trace is None else [s.case for s in res.trace.steps]
+        record = (res.solvable, res.reason, res.solution, cases, sorted(res.primes))
+        digest.update(repr(record).encode())
+        seen[res.reason, bool(res.primes)] += 1
+    assert seen[None, True] > 300 and seen[None, False] > 100
+    assert seen["not-in-span", False] > 50
+    assert (
+        digest.hexdigest()
+        == "870809687e0a42ffe7e8e54a802dfa5004029af75c7c296c30fa0505e7e1df86"
+    )
 
 
 def test_build_rejects_an_empty_bound_interval():
