@@ -46,8 +46,9 @@ for step in trace.steps:
     shown = {k: v for k, v in fields.items() if v is not None}
     print(f"  {step.case}: {shown}")
 
-# the full pipeline bundles the span check, rational solving, and the
-# refinement; infeasibility comes back with a reason
+# the full pipeline checks the ring span and solves over the rationals;
+# the simplex vertex already has ring coordinates, so it is the answer,
+# with an empty trace; infeasibility comes back with a reason
 print(near_integers_solve([(2,)], (1,), (0,), (1,)))
 result = near_integers_solve(family, (1,), (0, 0), (1, 1))
 print("pipeline solution:", result.solution)

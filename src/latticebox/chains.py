@@ -145,10 +145,41 @@ def certify(lat: Lattice):
     canonical and hashable, and a search that found no chain for it finds
     none again, so each call remembers the images that failed and skips
     them: no lattice is searched twice.
+
+    Before the search, a lattice of two or more coordinate blocks (see
+    _blocks) with a block that has no divisor has no chain. Every divisor
+    of lat is zero on that block, as its part there would be a divisor of
+    the block, so the block passes unchanged into every image. A rank-1
+    lattice has a divisor, so the block's rank is at least 2, and no image
+    falls to rank 1. The rule is applied to lat only, not in the search.
     """
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
+    blocks = _blocks(lat)
+    if len(blocks) > 1:
+        for cols in blocks:
+            block = Lattice(len(cols), [[row[i] for i in cols] for row in lat.basis])
+            if next(_walk(block), None) is None:
+                return None
     return _search(lat, set())
+
+
+def _blocks(lat: Lattice) -> list[list[int]]:
+    """The coordinate blocks of lat, each as its ascending coordinates.
+
+    Two coordinates are joined when some basis row is nonzero at both; a
+    block is a class that some row reaches. Each basis row lies inside
+    one block, so lat is the direct sum of its blocks, and the basis
+    restricted to a block's coordinates spans that block.
+    """
+    blocks: list[set[int]] = []
+    for row in lat.basis:
+        cols = {i for i, x in enumerate(row) if x}
+        for block in [b for b in blocks if b & cols]:
+            blocks.remove(block)
+            cols |= block
+        blocks.append(cols)
+    return [sorted(b) for b in blocks]
 
 
 def _search(lat: Lattice, failed: set):

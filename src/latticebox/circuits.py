@@ -11,8 +11,9 @@ the family, taken in increasing index order, with fraction-free integer
 elimination (no Fraction arithmetic). Each step reduces a vector against
 the rows already chosen by one integer row operation (arith.eliminate),
 so a node costs one row operation per remaining candidate. A dependent
-set is never extended: its supersets hold no new circuit. The walk hands
-each circuit to its caller as it is found: circuits() lists them, and
+set is never extended: its supersets hold no new circuit. The walk yields
+each circuit as it is found, and a consumer that stops early stops the
+walk: circuits() lists them all, first_circuit() takes only the first, and
 prime_set() keeps only the distinct coefficient values.
 """
 
@@ -72,12 +73,13 @@ def _extend(pending, at, n):
     return out
 
 
-def _walk(vectors, found) -> None:
-    """Hand each circuit of the family to found(support, coeffs), in support order.
+def _walk(vectors):
+    """Yield each circuit of the family as (support, coeffs), in support order.
 
     The walk takes candidates in increasing index order and finishes each
     subtree before the next one, so supports come out sorted with no sort.
-    A call of found that returns a true value stops the walk.
+    It is a generator: each circuit is yielded as it is found, and a
+    consumer that stops early stops the walk there.
 
     Every vector is cleared by one denominator, the lcm of all the family's
     denominators: a uniform scale changes no relation. The search runs on
@@ -99,13 +101,14 @@ def _walk(vectors, found) -> None:
     its sorted proper prefixes are independent, so the walk reaches the
     longest of them once and tests the last index there.
 
-    The size limit is checked before the walk, the rank limit on its first
-    descent: that descent takes the first independent candidate at every
-    level, so it reaches depth rank before it backtracks, after at most
-    m·(MAX_FAMILY_RANK + 1) row operations. Only a refusal runs echelon, on
-    the pending rows, for the exact rank in its message. Each relation is
-    made primitive with the first coefficient positive. A zero vector
-    yields the singleton relation 1·v = 0.
+    The input is parsed and the size limit checked at the walk's first
+    step, the rank limit on its first descent: that descent takes the
+    first independent candidate at every level, so it reaches depth rank
+    before it backtracks, after at most m·(MAX_FAMILY_RANK + 1) row
+    operations. Only a refusal runs echelon, on the pending rows, for the
+    exact rank in its message. Each relation is made primitive with the
+    first coefficient positive. A zero vector yields the singleton
+    relation 1·v = 0.
     """
     rows = _as_fraction_rows(vectors)
     m = len(rows)
@@ -126,8 +129,7 @@ def _walk(vectors, found) -> None:
             raise ResourceLimitError(f"family rank {rank} exceeds {MAX_FAMILY_RANK}")
         for at, (j, row, col) in enumerate(pending):
             if col is not None:
-                if walk(chosen + (j,), _extend(pending, at, n)):
-                    return True
+                yield from walk(chosen + (j,), _extend(pending, at, n))
                 continue
             support = chosen + (j,)
             raw = [row[n + i] for i in support]
@@ -135,40 +137,31 @@ def _walk(vectors, found) -> None:
                 continue
             g = gcd(*raw)
             sign = -1 if raw[0] < 0 else 1
-            if found(support, tuple(sign * x // g for x in raw)):
-                return True
-        return False
+            yield support, tuple(sign * x // g for x in raw)
 
-    walk((), root)
+    yield from walk((), root)
 
 
 def circuits(vectors) -> list[Circuit]:
     """All circuits of the family, ordered by support (see _walk)."""
-    out = []
-    _walk(vectors, lambda support, coeffs: out.append(Circuit(support, coeffs)))
-    return out
+    return [Circuit(support, coeffs) for support, coeffs in _walk(vectors)]
 
 
 def first_circuit(vectors) -> Circuit | None:
     """The first circuit of circuits(vectors), or None; the walk stops there."""
-    out = []
-
-    def stop(support, coeffs):
-        out.append(Circuit(support, coeffs))
-        return True
-
-    _walk(vectors, stop)
-    return out[0] if out else None
+    found = next(_walk(vectors), None)
+    return Circuit(*found) if found else None
 
 
 def prime_set(vectors) -> PrimeSet:
     """Primes dividing some coefficient of some circuit of the family.
 
-    The walk hands over each circuit's coefficients and only their distinct
+    The walk yields each circuit's coefficients and only their distinct
     absolute values are kept, not the circuits.
     """
     values: set[int] = set()
-    _walk(vectors, lambda support, coeffs: values.update(map(abs, coeffs)))
+    for _, coeffs in _walk(vectors):
+        values.update(map(abs, coeffs))
     return _prime_set_of_values(values)
 
 

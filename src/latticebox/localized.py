@@ -272,12 +272,14 @@ def rational_box_solve(vectors, target, lower, upper):
     prime set (see _refine).
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
     return _box_solve(vecs, w, lo, hi, _echelon_system(vecs, w))
 
 
 def _box_solve(vecs, w, lo, hi, system):
-    """rational_box_solve on parsed input and its _echelon_system."""
-    if system is None or any(a > b for a, b in zip(lo, hi)):
+    """rational_box_solve on parsed input with lo <= hi, and its _echelon_system."""
+    if system is None:
         return None
     x = _lexmin(system, lo, hi)
     if x is None:

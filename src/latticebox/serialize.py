@@ -78,13 +78,11 @@ def box_from_json(data) -> Box:
     )
 
 
-def expr_to_json(expr: Expr) -> dict:
-    """One dict per distinct node object: a shared node gives a shared dict."""
-    return _expr_json(expr, {})
-
-
 def _expr_json(expr: Expr, memo: dict) -> dict:
-    """expr_to_json with memo: id(node) -> its dict, valid for one call only."""
+    """One dict per distinct node object, through memo: id(node) -> its dict.
+
+    A shared node gives a shared dict; the memo is valid for one call only.
+    """
     data = memo.get(id(expr))
     if data is not None:
         return data

@@ -426,13 +426,18 @@ def test_certify_matches_unmemoized_search(monkeypatch):
 
 
 def test_certify_searches_no_image_twice(monkeypatch):
-    # Z^3 + <(1, 2), (0, 5)> has no chain: without the memo, the search
-    # walks the candidates of its 8 image lattices 603 times
-    gens = [[int(i == j) for j in range(5)] for i in range(3)]
-    lat = Lattice(5, gens + [[0, 0, 0, 1, 2], [0, 0, 0, 0, 5]])
+    # a one-block lattice with no chain: without the memo, the search
+    # walks the candidates of its 143 image lattices 1,369 times
+    lat = Lattice(5, [
+        [1, 0, 0, 0, 4],
+        [0, 1, 0, 0, 3],
+        [0, 0, 1, 0, 3],
+        [0, 0, 0, 1, 3],
+        [0, 0, 0, 0, 5],
+    ])
     visited = []
     assert certify_unmemoized(lat, visited=visited) is None
-    assert (len(visited), len(set(visited))) == (603, 8)
+    assert (len(visited), len(set(visited))) == (1369, 143)
 
     searched = []
     walk = chains._walk
@@ -444,6 +449,19 @@ def test_certify_searches_no_image_twice(monkeypatch):
     monkeypatch.setattr("latticebox.chains._walk", counting)
     assert certify(lat) is None
     assert sorted(map(repr, searched)) == sorted(map(repr, set(visited)))
+
+
+def test_certify_no_chain_when_a_block_has_no_divisor(monkeypatch):
+    # Z^k + <(1, 2), (0, 5)>: every divisor is zero on the second block,
+    # which has none of its own, so no chain exists and no image is built
+    def no_image(lat, div):
+        raise AssertionError("image_lattice called")
+
+    monkeypatch.setattr("latticebox.chains.image_lattice", no_image)
+    for k in range(1, 14):
+        gens = [[int(i == j) for j in range(k + 2)] for i in range(k)]
+        lat = Lattice(k + 2, gens + [[0] * k + [1, 2], [0] * (k + 1) + [5]])
+        assert certify(lat) is None
 
 
 def test_sign_partition():

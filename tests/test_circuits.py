@@ -170,6 +170,24 @@ def test_first_circuit_of_an_active_subfamily():
     assert seen[True] > 500 and seen[False] > 50
 
 
+def test_first_circuit_stops_the_walk(monkeypatch):
+    # on a generic 20 x 8 family the first descent reaches (0, ..., 7) and
+    # tests index 8 there; the walk stops at that circuit, after
+    # 19 + 18 + ... + 12 = 124 row operations, of the C(20, 9) circuits
+    rng = random.Random(1)
+    family = [[rng.randint(-9, 9) for _ in range(8)] for _ in range(20)]
+    walked = []
+
+    def counting_eliminate(*args):
+        walked.append(1)
+        return arith.eliminate(*args)
+
+    mod = sys.modules["latticebox.circuits"]
+    monkeypatch.setattr(mod, "eliminate", counting_eliminate)
+    assert first_circuit(family).support == tuple(range(9))
+    assert len(walked) == sum(range(12, 20)) == 124
+
+
 def test_zero_vector_singleton():
     found = circuits([(0, 0), (1, 2)])
     assert [(c.support, c.coeffs) for c in found] == [((0,), (1,))]

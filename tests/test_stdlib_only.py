@@ -1,8 +1,12 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "latticebox"
+import latticebox
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "latticebox"
 
 
 def test_runtime_imports_are_standard_library():
@@ -44,13 +48,17 @@ def _used_names(tree):
     return used
 
 
-def test_package_has_no_unused_imports_or_private_names():
-    # a name imported and never read, or a private function or class that
-    # nothing names, is a leftover; __init__.py imports to re-export
-    trees = {
+def _package_trees():
+    return {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
     }
+
+
+def test_package_has_no_unused_imports_or_private_names():
+    # a name imported and never read, or a private function or class that
+    # nothing names, is a leftover; __init__.py imports to re-export
+    trees = _package_trees()
     used = {name: _used_names(tree) for name, tree in trees.items()}
     unused, unnamed = [], []
     for name, tree in trees.items():
@@ -71,3 +79,26 @@ def test_package_has_no_unused_imports_or_private_names():
                     unnamed.append(f"{name}: {node.name}")
     assert len(trees) > 1
     assert (unused, unnamed) == ([], [])
+
+
+def test_package_has_no_unreached_public_names():
+    # a public top-level function or class that latticebox does not export,
+    # that no package module reads, and that no test, demo, benchmark or
+    # entry point in pyproject.toml mentions is code that nothing needs
+    trees = _package_trees()
+    read = set().union(*map(_used_names, trees.values()))
+    mentioned = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    for folder in ("tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                mentioned |= set(re.findall(r"\w+", path.read_text(errors="replace")))
+    unreached = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in {*latticebox.__all__, *read, *mentioned}
+    ]
+    assert len(read) > 100 and "run_main" in mentioned
+    assert unreached == []
