@@ -146,21 +146,15 @@ def certify(lat: Lattice):
     none again, so each call remembers the images that failed and skips
     them: no lattice is searched twice.
 
-    Before the search, a lattice of two or more coordinate blocks (see
-    _blocks) with a block that has no divisor has no chain. Every divisor
-    of lat is zero on that block, as its part there would be a divisor of
-    the block, so the block passes unchanged into every image. A rank-1
-    lattice has a divisor, so the block's rank is at least 2, and no image
-    falls to rank 1. The rule is applied to lat only, not in the search.
+    A lattice of two or more coordinate blocks (see _blocks) with a block
+    that has no divisor has no chain. Every divisor of it is zero on that
+    block, as its part there would be a divisor of the block, so the block
+    passes unchanged into every image. A rank-1 lattice has a divisor, so
+    the block's rank is at least 2, and no image falls to rank 1. _search
+    applies the rule to the input and to each image before walking it.
     """
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
-    blocks = _blocks(lat)
-    if len(blocks) > 1:
-        for cols in blocks:
-            block = Lattice(len(cols), [[row[i] for i in cols] for row in lat.basis])
-            if next(_walk(block), None) is None:
-                return None
     return _search(lat, set())
 
 
@@ -182,8 +176,15 @@ def _blocks(lat: Lattice) -> list[list[int]]:
     return [sorted(b) for b in blocks]
 
 
+def _dead_block(lat: Lattice) -> bool:
+    """Whether lat has two or more blocks and one of them has no divisor."""
+    blocks = _blocks(lat)
+    lattices = (Lattice(len(c), [[r[i] for i in c] for r in lat.basis]) for c in blocks)
+    return len(blocks) > 1 and any(next(_walk(b), None) is None for b in lattices)
+
+
 def _search(lat: Lattice, failed: set):
-    if lat in failed:
+    if lat in failed or _dead_block(lat):
         return None
     for v in _walk(lat):
         div = DivisorVector.of(v)

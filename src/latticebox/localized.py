@@ -5,14 +5,17 @@ factor over the family's circuit primes P, a rational box-constrained
 solution of sum(x_i v_i) = w can always be refined into one whose
 coordinates all lie in the ring Q_P of P-smooth-denominator rationals.
 A point whose coordinates are all in the ring already is its own
-refinement, with an empty trace. The simplex vertex always is one, so
-near_integers_solve answers with the vertex after one ring test per
-coordinate and never runs the refinement; refine_to_qp is there for
-callers with another starting point. From a point off the ring the
-refinement walks the constructive induction: coordinates already in the
-ring are fixed one at a time, and when no coordinate qualifies, a single
-perturbation along a circuit direction lands one coordinate in the ring
-without leaving the box or changing the target.
+refinement, with an empty trace, for every prime set. The simplex vertex
+always is one, so near_integers_solve answers with the vertex after one
+ring test per coordinate and never runs the refinement; refine_to_qp is
+there for callers with another starting point. From a point off the
+ring the refinement walks the constructive induction, which has two
+moves: a coordinate already in the ring is fixed (case1), and when no
+coordinate qualifies, a single perturbation along a circuit direction
+lands one coordinate in the ring without leaving the box or changing
+the target (case2). With an empty prime set the ring is the integers
+and case2 has no prime to round with, so the refinement answers from an
+off-ring start with the simplex vertex instead (integral_fallback).
 
 The recursion keeps the top-level prime set throughout. Shrinking to the
 remaining subfamily's prime set (and rescaling bounds to compensate) can
@@ -268,8 +271,8 @@ def rational_box_solve(vectors, target, lower, upper):
     The simplex runs on integer numerators over one common denominator;
     the vertex comes back as Fractions, and _solves re-checks it on
     integers before it is returned. near_integers_solve answers with this
-    vertex, without refining it, and so does refine_to_qp with an empty
-    prime set (see _refine).
+    vertex, without refining it, and so does refine_to_qp from a
+    non-integral start with an empty prime set (see _refine).
     """
     vecs, w, lo, hi = _parse(vectors, target, lower, upper)
     if any(a > b for a, b in zip(lo, hi)):
@@ -306,7 +309,7 @@ def qp_solve_exact(vectors, target, primes: PrimeSet):
     out. _rhs_in_ring makes both ring tests on the integer echelon rows;
     near_integers_solve and refine_to_qp use only that verdict, and each
     case1 step of _induct repeats it on the remaining family and residual
-    target, reading the family's independence off the same rows.
+    target.
     """
     vecs, w = _parse(vectors, target)
     m = len(vecs)
@@ -364,22 +367,20 @@ def _refine(
     """refine_to_qp once its preconditions hold; re-checks the output.
 
     system is the _echelon_system of the instance; it is not modified.
-    With a nonempty prime set, xs is its own refinement, with no steps,
-    when every coordinate is in the ring; otherwise _induct runs from it.
-    A simplex vertex always is in the ring: its nonbasic coordinates sit
-    at bounds in the ring, and its basic ones are coordinates over a
-    basis, in the ring by the circuit argument of qp_solve_exact. With an
-    empty prime set the ring is the integers and the answer is
-    rational_box_solve's vertex, integral by the same argument. The checks
-    below guard every answer. near_integers_solve does not come here: it
-    answers with the vertex as this function would, with the same trace.
+    For every prime set, xs is its own refinement, with no steps, when
+    every coordinate is in the ring. Otherwise _induct runs from it, or,
+    with an empty prime set, the answer is rational_box_solve's vertex,
+    with one integral_fallback step. A simplex vertex always is in the
+    ring: its nonbasic coordinates sit at bounds in the ring, and its
+    basic ones are coordinates over a basis, in the ring by the circuit
+    argument of qp_solve_exact. The checks below guard every answer.
+    near_integers_solve answers with the vertex as this function would.
     """
     steps: list[RefineStep] = []
-    if inst.primes:
-        if all(in_qp(xi, inst.primes) for xi in xs):
-            y = xs
-        else:
-            y = _induct(inst, xs, system, steps)
+    if all(in_qp(xi, inst.primes) for xi in xs):
+        y = xs
+    elif inst.primes:
+        y = _induct(inst, xs, steps)
     else:
         y = _lexmin(system, inst.lower, inst.upper)
         if y is None:
@@ -398,59 +399,31 @@ def _refine(
     return tuple(y), RefinementTrace(tuple(steps))
 
 
-def _induct(
-    inst: QpBoxInstance, xs, system, steps: list[RefineStep]
-) -> list[Fraction]:
+def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
     """The constructive induction over a nonempty prime set.
 
     _refine calls it only from a start with a coordinate off the ring.
+    Until no coordinate is active, it fixes the first active coordinate in
+    the ring (case1) or, when none is, perturbs along the first circuit of
+    the active subfamily until one is (case2), the circuit's support
+    mapped through active, which is increasing. case2 moves only active
+    coordinates, so each coordinate of the answer is the pivot_value of
+    the one case1 step that fixed it.
 
-    Fixes one ring coordinate at a time (case1), or, when none is in the
-    ring, perturbs along the first family circuit inside the active set
-    until one is (case2). That circuit is the first one of the active
-    subfamily, its support mapped through active: the map is increasing,
-    so it keeps the support order. case2 moves only active coordinates, so
-    cur is the returned point.
-
-    system holds the echelon rows of the active family and the residual
-    target w, the target less the fixed coordinates' part. Each case1 step
-    takes cur[h]·v_h off w, eliminates the remaining family afresh and
-    guards that w stays in its ring span, as qp_solve_exact on that family
-    would. case2 leaves w alone: a circuit adds up to zero. Each row has
-    its own pivot, so len(pivots) is the active rank: the active family is
-    independent iff it equals len(active).
+    Each case1 step takes cur[h]·v_h off the residual target w, eliminates
+    the remaining family afresh and guards that w stays in its ring span,
+    as qp_solve_exact on that family would; for the empty family, that
+    means w is zero. case2 leaves w alone: a circuit adds up to zero. The two moves
+    cover every family: an independent one has the unique coordinates of
+    w, in the ring by the guard, and a lone zero vector has the circuit
+    1·v = 0.
     """
     primes = inst.primes
     active = list(range(inst.size))
     cur = list(xs)
     w = inst.target
-    pivots = system[1]
 
     while active:
-        if len(pivots) == len(active):
-            # Independent subfamily: the coefficients are forced, and ring
-            # span membership forces them into the ring. One nonzero vector
-            # left is the base case.
-            for i in active:
-                if not in_qp(cur[i], primes):
-                    raise InconsistencyError(
-                        "independent coefficients are outside the ring"
-                    )
-            if len(active) == 1:
-                steps.append(RefineStep(case="base", pivot=active[0]))
-            else:
-                steps.append(RefineStep(case="independent"))
-            break
-
-        if len(active) == 1:
-            # a zero vector adds nothing: the fixed coordinates meet the target
-            i = active[0]
-            cur[i] = inst.lower[i]
-            if not _solves(inst.vectors, inst.target, cur):
-                raise InconsistencyError("nonzero target over a zero vector")
-            steps.append(RefineStep(case="base", pivot=i))
-            break
-
         h = next((i for i in active if in_qp(cur[i], primes)), None)
         if h is not None:
             w = [t - cur[h] * a for t, a in zip(w, inst.vectors[h])]
@@ -461,7 +434,6 @@ def _induct(
                     "residual target left the ring span after fixing a "
                     "ring coordinate"
                 )
-            pivots = system[1]
             steps.append(RefineStep(case="case1", pivot=h, pivot_value=cur[h]))
             continue
 
@@ -545,10 +517,9 @@ def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
 
     Completeness comes from the refinement guarantee: when both checks
     pass there is a ring solution in the box. The simplex vertex already
-    is one (see _refine), so it is the answer, with the trace that
-    refine_to_qp would give it: no steps for a nonempty prime set, one
-    integral_fallback step for an empty one. _box_solve has checked its
-    equalities and bounds; one ring test per coordinate guards the rest.
+    is one (see _refine), so it is the answer, with the empty trace that
+    refine_to_qp would give it. _box_solve has checked its equalities and
+    bounds; one ring test per coordinate guards the rest.
     """
     inst = QpBoxInstance.build(vectors, target, lower, upper)
     system = _echelon_system(inst.vectors, inst.target)
@@ -559,5 +530,4 @@ def near_integers_solve(vectors, target, lower, upper) -> QpSolveResult:
         return QpSolveResult(False, "no-rational-solution", None, None, inst.primes)
     if not all(in_qp(xi, inst.primes) for xi in x):
         raise InconsistencyError("simplex vertex is outside the ring")
-    steps = () if inst.primes else (RefineStep("integral_fallback"),)
-    return QpSolveResult(True, None, tuple(x), RefinementTrace(steps), inst.primes)
+    return QpSolveResult(True, None, tuple(x), RefinementTrace(()), inst.primes)

@@ -464,6 +464,35 @@ def test_certify_no_chain_when_a_block_has_no_divisor(monkeypatch):
         assert certify(lat) is None
 
 
+def test_search_skips_the_subtree_of_an_image_with_a_dead_block(monkeypatch):
+    # both blocks of lat have a divisor, so the rule first acts inside the
+    # search: the third candidate (1, 1, -1, 0) maps lat onto dead, whose
+    # block on the first three coordinates has none. The search never maps
+    # dead's candidates (0, 0, 0, +-2), and still finds the chain of the
+    # fourth candidate
+    lat = Lattice(4, [(1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 3, 0), (0, 0, 0, 2)])
+    dead = Lattice(4, [(1, 2, 1, 0), (0, 3, 3, 0), (0, 0, 0, 2)])
+    assert chains._blocks(lat) == [[0, 1, 2], [3]]
+    assert chains._blocks(dead) == [[0, 1, 2], [3]]
+    assert list(chains._walk(Lattice(3, [(1, 2, 1), (0, 3, 3)]))) == []
+    assert list(chains._walk(dead)) == [[0, 0, 0, 2], [0, 0, 0, -2]]
+    first = [list(v) for v in chains._walk(lat)][:4]
+    assert first[2] == [1, 1, -1, 0]
+    assert image_lattice(lat, DivisorVector.of(first[2])) == dead
+
+    mapped = []
+
+    def recording(lat, div):
+        mapped.append(lat)
+        return image_lattice(lat, div)
+
+    monkeypatch.setattr("latticebox.chains.image_lattice", recording)
+    chain = certify(lat)
+    assert chain.divisor.v == tuple(first[3])
+    assert dead not in mapped
+    assert len(mapped) == 8  # walking dead would map its two candidates too
+
+
 def test_sign_partition():
     dv = DivisorVector.of((2, -3, 0))
     assert dv.pos == (0,) and dv.neg == (1,) and dv.zero == (2,)

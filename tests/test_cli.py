@@ -94,8 +94,8 @@ def test_qpsolve_not_in_span_payload():
 
 
 def test_qpsolve_zero_length_family(tmp_path):
-    # vectors of length 0: every point of the bounds solves the system, so
-    # the integral fallback returns the lower corner
+    # vectors of length 0: every point of the bounds solves the system, and
+    # the answer is the simplex vertex, the lower corner, with no steps
     inst = tmp_path / "zero_length.json"
     inst.write_text(
         json.dumps(
@@ -107,8 +107,7 @@ def test_qpsolve_zero_length_family(tmp_path):
     assert out == (
         '{\n  "prime_set": [],\n  "reason": null,\n'
         '  "solution": [\n    "0",\n    "1"\n  ],\n  "solvable": true,\n'
-        '  "trace": {\n    "steps": [\n      {\n'
-        '        "case": "integral_fallback"\n      }\n    ]\n  }\n}\n'
+        '  "trace": {\n    "steps": []\n  }\n}\n'
     )
 
 def test_qpsolve_fourteen_unit_vectors(tmp_path):
@@ -132,8 +131,7 @@ def test_qpsolve_fourteen_unit_vectors(tmp_path):
         '{\n  "prime_set": [],\n  "reason": null,\n  "solution": [\n'
         + ",\n".join(f'    "{x}"' for x in solution)
         + '\n  ],\n  "solvable": true,\n'
-        '  "trace": {\n    "steps": [\n      {\n'
-        '        "case": "integral_fallback"\n      }\n    ]\n  }\n}\n'
+        '  "trace": {\n    "steps": []\n  }\n}\n'
     )
 
 

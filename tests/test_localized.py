@@ -234,7 +234,8 @@ def test_rational_box_solve_is_lexmin_vertex():
 def test_integral_fallback_is_lexmin_vertex():
     # with an empty prime set every vertex is integral, and every entry
     # point answers with rational_box_solve's vertex, the one least by
-    # x_{m-1}, ..., x_0, whatever point refine_to_qp starts from
+    # x_{m-1}, ..., x_0, whatever non-integral point refine_to_qp starts
+    # from; the integral vertex is its own refinement, with no steps
     rng = random.Random(24008)
     done = 0
     while done < 60:
@@ -260,8 +261,9 @@ def test_integral_fallback_is_lexmin_vertex():
         assert all(xi.denominator == 1 for x in points for xi in x)
         assert got == min(points, key=_lexmin_key(range(m - 1, -1, -1)))
         assert all(type(xi) is F for xi in got)
-        for t in (trace, res.trace):
-            assert [s.case for s in t.steps] == ["integral_fallback"]
+        assert [s.case for s in trace.steps] == ["integral_fallback"]
+        assert res.trace.steps == ()
+        assert refine_to_qp(inst, got) == (got, RefinementTrace(()))
         done += 1
 
 
@@ -425,19 +427,21 @@ def test_near_integers_ring_guard(monkeypatch):
 
 def test_induct_guards():
     # forged inputs, as refine_to_qp's checks would stop them: 3·x = 1
-    # forces x = 1/3, outside the ring over {2}
+    # forces x = 1/3, outside the ring over {2}, and a lone nonzero vector
+    # has no circuit for case2 to move along
     inst = replace(QpBoxInstance.build([[3]], [1], [0], [1]), primes=PrimeSet([2]))
     system = _echelon_system(inst.vectors, inst.target)
-    message = "independent coefficients are outside the ring"
-    with pytest.raises(InconsistencyError, match=message):
+    with pytest.raises(InconsistencyError, match="no circuit inside the active set"):
         localized._refine(inst, [F(1, 3)], system)
 
-    # a lone zero vector under a forged target 1 and prime set {2}: the
-    # off-ring start reaches _induct, whose base rule finds 0·x_0 != 1
+    # a lone zero vector under a forged target 1 and prime set {2}: case2
+    # moves the off-ring start along the circuit 1·v = 0 into the ring,
+    # and the case1 step that fixes it finds 0·x_0 != 1
     inst = QpBoxInstance.build([[0]], [0], [0], [1])
     system = _echelon_system(inst.vectors, inst.target)
     inst = replace(inst, target=(F(1),), primes=PrimeSet([2]))
-    with pytest.raises(InconsistencyError, match="nonzero target over a zero vector"):
+    guard = "residual target left the ring span after fixing a ring coordinate"
+    with pytest.raises(InconsistencyError, match=guard):
         localized._refine(inst, [F(1, 3)], system)
 
     # with every coordinate in the ring the start is the answer, and the
@@ -448,8 +452,9 @@ def test_induct_guards():
     with pytest.raises(InconsistencyError, match="refined point no longer solves"):
         localized._refine(inst, [F(1), F(1, 2)], system)
 
-    # a forged system with one pivot for an independent pair: case2 finds
-    # no circuit inside the active set, and says so
+    # an independent pair off the ring: _induct reads no system, so a
+    # forged one with a single pivot changes nothing, and case2 finds no
+    # circuit inside the active set, and says so
     inst = QpBoxInstance.build([[1, 0], [0, 1]], [F(1, 3)] * 2, [0, 0], [1, 1])
     inst = replace(inst, primes=PrimeSet([2]))
     system = _echelon_system([[1], [1]], [F(2, 3)])
@@ -463,7 +468,7 @@ def test_empty_families_keep_their_answers():
     assert rational_box_solve([], [1], [], []) is None
     res = near_integers_solve([[], []], [], [0, 0], [1, 1])
     assert res.solvable and res.solution == (F(0), F(0))
-    assert [s.case for s in res.trace.steps] == ["integral_fallback"]
+    assert res.trace.steps == ()
 
 
 def test_qp_solve_exact_examples():
@@ -642,16 +647,18 @@ def test_refine_identity_when_already_in_ring():
     assert trace.steps == ()
 
 
-def test_refine_zero_vector_base_rule():
-    # at the top level a lone zero vector has an empty prime set, so the
-    # integral fallback runs; the answer is still the lower bound
+def test_refine_zero_vector_takes_the_two_moves():
+    # at the top level a lone zero vector has an empty prime set, so an
+    # off-ring start takes the integral fallback: the lower bound, which is
+    # rational_box_solve's vertex; an integral start is its own refinement
     inst, y, trace = refine_instance([(0,)], (0,), (1,), (2,), (F(3, 2),))
     assert y == (F(1),)
-    assert trace.steps[0].case == "integral_fallback"
+    assert [s.case for s in trace.steps] == ["integral_fallback"]
+    assert refine_to_qp(inst, (F(2),)) == ((F(2),), RefinementTrace(()))
 
-    # inside the recursion the zero-vector base rule fires directly and
-    # pins the coordinate to its lower bound; 7/5 is off the ring over
-    # {2, 3}, so the induction runs
+    # inside the induction a lone zero vector off the ring over {2, 3}
+    # moves along its circuit 1·v = 0: k = 5 clears 7/5 to 7, and the
+    # shift 3 lands it on 2, which case1 then fixes
     inst, y, trace = refine_instance(
         [(2,), (3,), (0,)],
         (1,),
@@ -659,9 +666,13 @@ def test_refine_zero_vector_base_rule():
         (1, 1, 2),
         (F(1, 2), F(0), F(7, 5)),
     )
-    assert y == (F(1, 2), F(0), F(1))
-    assert [s.case for s in trace.steps] == ["case1", "case1", "base"]
-    assert trace.steps[-1].pivot == 2
+    assert y == (F(1, 2), F(0), F(2))
+    assert [s.case for s in trace.steps] == ["case1", "case1", "case2", "case1"]
+    move = trace.steps[2]
+    assert (move.pivot, move.clearing_factor, move.scaled_values) == (2, 5, (F(7),))
+    assert (move.circuit.support, move.circuit.coeffs) == ((2,), (1,))
+    assert (move.shift, move.pivot_value) == (F(3), F(2))
+    assert [s.pivot_value for s in trace.steps if s.case == "case1"] == list(y)
 
     # from a point already in the ring there is nothing to refine
     inst, y, trace = refine_instance(
@@ -710,13 +721,23 @@ def test_refine_integral_fallback_empty_primes():
     x = (F(1, 2), F(1, 2))
     inst, y, trace = refine_instance(vectors, target, lower, upper, x)
     assert [s.case for s in trace.steps] == ["integral_fallback"]
-    assert all(yi.denominator == 1 for yi in y)
+    assert y == (F(1), F(0))
+    # an integral start is its own refinement, also where it is not the
+    # vertex
+    assert refine_to_qp(inst, (F(0), F(1))) == ((F(0), F(1)), RefinementTrace(()))
 
 
 def test_integral_fallback_zero_length_family():
+    # every point of the bounds solves the system: the lower corner is the
+    # vertex, which near_integers_solve answers with, and which the
+    # integral fallback gives from a non-integral start
     res = near_integers_solve([(), ()], (), (0, 1), (2, 3))
     assert res.solvable and res.solution == (F(0), F(1))
-    assert [s.case for s in res.trace.steps] == ["integral_fallback"]
+    assert res.trace.steps == ()
+    inst = QpBoxInstance.build([(), ()], (), (0, 1), (2, 3))
+    y, trace = refine_to_qp(inst, (F(1, 2), F(3, 2)))
+    assert y == (F(0), F(1))
+    assert [s.case for s in trace.steps] == ["integral_fallback"]
 
 
 def test_refine_random_suite():
@@ -857,10 +878,8 @@ def test_near_integers_solve_large_families():
         assert res.solvable
         check_solution(vecs, target, lower, upper, res.solution)
         assert all(in_qp(y, res.primes) for y in res.solution)
-        # the simplex vertex is in the ring already; an empty prime set
-        # takes the integral fallback
-        steps = [s.case for s in res.trace.steps]
-        assert steps == ([] if res.primes else ["integral_fallback"])
+        # the simplex vertex is in the ring already, for every prime set
+        assert res.trace.steps == ()
         cases[bool(res.primes)] += 1
     assert cases[True] > 0 and cases[False] > 0
 
@@ -1001,14 +1020,14 @@ def test_refinement_trace_digest():
             y, trace = refine_to_qp(inst, hidden)
             record["hidden"] = [rationals_to_json(y), trace_to_json(trace)]
             cases.update(s.case for s in trace.steps)
-            if inst.primes and all(in_qp(h, inst.primes) for h in hidden):
+            if all(in_qp(h, inst.primes) for h in hidden):
                 assert (y, trace.steps) == (tuple(hidden), ())
                 cases["in ring"] += 1
         digest.update(json.dumps(record, sort_keys=True).encode())
     assert cases["case2"] >= 10 and cases["in ring"] >= 100
     assert (
         digest.hexdigest()
-        == "8da0e05c31628d17fbd5d3b7210238ac6be85a5a7f7c2feab130be76759c76e3"
+        == "cea525c2984e2530d401d4994f5787383e309cc312ab4531b473691310359581"
     )
 
 
@@ -1084,15 +1103,15 @@ def test_case1_guard_matches_fresh_elimination():
     # each case1 step eliminates the remaining family and residual target
     # afresh and asks qp_solve_exact's ring question of them. _refine runs
     # on the guard families and, without refine_to_qp's checks, on the
-    # forged inputs; a start whose coordinates are all in the ring of a
-    # nonempty prime set comes back as it is, with no steps, unless an
-    # output check stops it
+    # forged inputs; a start whose coordinates are all in the ring, for
+    # any prime set, comes back as it is, with no steps, unless an output
+    # check stops it
     seen = Counter()
 
     def refine(inst, x):
         system = _echelon_system(inst.vectors, inst.target)
         out = _outcome(localized._refine, inst, x, system)
-        if inst.primes and all(in_qp(xi, inst.primes) for xi in x):
+        if all(in_qp(xi, inst.primes) for xi in x):
             if not localized._solves(inst.vectors, inst.target, x):
                 kept = "InconsistencyError", "refined point no longer solves the system"
             elif not all(a <= xi <= b for a, xi, b in zip(inst.lower, x, inst.upper)):
@@ -1132,8 +1151,43 @@ def test_case1_guard_matches_fresh_elimination():
     assert seen[("InconsistencyError", guard)]
     assert (
         digest.hexdigest()
-        == "05a7dc52c58e6dcdc01db39d7b294e9dbaeb6b4451991efad91ec57330ff6f99"
+        == "8ca9d994ac91aaca67803d8c48f14980dcc93df76c59d4d4aecef8a22ed95bad"
     )
+
+
+def test_every_induct_coordinate_is_one_case1_step():
+    # the induction has two moves and only case1 fixes a coordinate, so
+    # every answer of _induct is the pivot_values of its case1 steps, one
+    # step per coordinate; checked from the hidden points of the trace
+    # families and from every point of the guard families
+    inducted = Counter()
+
+    def check(family, inst, x):
+        y, trace = refine_to_qp(inst, x)
+        if not any(s.case == "case1" for s in trace.steps):
+            return
+        fixed = [(s.pivot, s.pivot_value) for s in trace.steps if s.case == "case1"]
+        assert sorted(fixed) == list(enumerate(y))
+        inducted[family] += 1
+
+    for vecs, target, lower, upper, hidden in _trace_families(
+        random.Random(24011), 2400
+    ):
+        try:
+            inst = QpBoxInstance.build(vecs, target, lower, upper)
+        except LatticeBoxError:
+            continue
+        if (
+            localized._solves(inst.vectors, inst.target, hidden)
+            and all(a <= h <= b for a, h, b in zip(lower, hidden, upper))
+            and qp_solve_exact(inst.vectors, inst.target, inst.primes) is not None
+        ):
+            check("trace", inst, hidden)
+    for inst, points in _guard_families(random.Random(24017), 900):
+        if qp_solve_exact(inst.vectors, inst.target, inst.primes) is not None:
+            for x in points:
+                check("guard", inst, x)
+    assert inducted["trace"] >= 50 and inducted["guard"] >= 100
 
 
 def test_vertex_is_its_own_refinement(monkeypatch):
@@ -1190,7 +1244,7 @@ def test_pipeline_matches_its_stages():
     # acceptance-style families: entries -4..4, a hidden solution with
     # denominators 1..6 and integer bounds 0-2 outside it; m <= n leaves
     # independent families, whose prime set is empty. The answer equals the
-    # staged run, and the answers are pinned
+    # staged run, its trace is empty, and the answers are pinned
     rng = random.Random(31001)
     digest = hashlib.sha256()
     seen = Counter()
@@ -1203,6 +1257,7 @@ def test_pipeline_matches_its_stages():
         upper = [ceil(h) + rng.randint(0, 2) for h in hidden]
         res = near_integers_solve(vecs, target, lower, upper)
         assert res == _staged_solve(vecs, target, lower, upper)
+        assert res.trace is None or res.trace.steps == ()
         cases = None if res.trace is None else [s.case for s in res.trace.steps]
         record = (res.solvable, res.reason, res.solution, cases, sorted(res.primes))
         digest.update(repr(record).encode())
@@ -1211,13 +1266,23 @@ def test_pipeline_matches_its_stages():
     assert seen["not-in-span", False] > 50
     assert (
         digest.hexdigest()
-        == "870809687e0a42ffe7e8e54a802dfa5004029af75c7c296c30fa0505e7e1df86"
+        == "cc70818b2fd3c0d4261974e39d072c93ddf1728e2cf8e1f77b3b360191359ed8"
     )
 
 
 def test_build_rejects_an_empty_bound_interval():
     with pytest.raises(PreconditionError, match="empty bound interval"):
         QpBoxInstance.build([(1,), (1,)], (1,), (1, 0), (0, 1))
+
+
+def test_rational_box_solve_answers_an_empty_interval_before_eliminating(
+    monkeypatch,
+):
+    def no_elimination(*args):
+        raise AssertionError("the system was eliminated")
+
+    monkeypatch.setattr(localized, "_echelon_system", no_elimination)
+    assert rational_box_solve([[1]], [1], [2], [1]) is None
 
 
 def test_refine_rejects_a_target_outside_the_ring_span():
