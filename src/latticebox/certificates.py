@@ -278,10 +278,12 @@ def feasible_by_certificates(certs: CertificateSet, box: Box) -> bool:
 def solve_box(cert: ChainCertificate, box: Box):
     """Explicit lattice point in the box, or None when there is none.
 
-    Follows the constructive recursion: check the per-coordinate interval
-    conditions, compute the reduced bounds on integers, solve the child,
-    lift the child witness z to a member y of the lattice that maps to it,
-    then pick the smallest feasible multiplier t for y + t·v.
+    Follows the constructive recursion, one rule at every level: check the
+    per-coordinate interval conditions, compute the reduced bounds on
+    integers, solve the child, lift the child witness z to a member y of
+    the lattice that maps to it, then pick the smallest feasible multiplier
+    t for y + t·v. Rank 1 is the level whose lift is 0: its image is the
+    zero lattice, whose only point is 0, so it has no child and y = 0.
 
     The lift is read off z in closed form. With i0 the first nonzero
     coordinate of v, set y_i0 = 0, y_j = -z[(i0, j)]·v_j on every other
@@ -298,8 +300,9 @@ def solve_box(cert: ChainCertificate, box: Box):
     is a member, so v_i divides y_i, and ceil((a_i - y_i)/v_i) =
     ceil(a_i/v_i) - y_i/v_i; likewise for floor, and with a_i and b_i
     swapped when v_i < 0. Returns None exactly on the inputs where the
-    certificate set evaluates negative somewhere; a child witness with no
-    preimage in the lattice is an internal inconsistency.
+    certificate set evaluates negative somewhere; from rank 2 up, the last
+    two checks always pass once the lift does. The one internal
+    inconsistency raised is a child witness with no preimage in the lattice.
     """
     lat = cert.lattice
     if box.dim != lat.ambient_dim:
@@ -310,38 +313,28 @@ def solve_box(cert: ChainCertificate, box: Box):
     v = div.v
     a, b = box.lower, box.upper
     bounds = _multiplier_bounds(div, a, b, floor_div, ceil_div)
-    if cert.child is None:
-        for k in div.zero:
-            if not (a[k] <= 0 <= b[k]):
-                return None
-        lo = max(low for low, _ in bounds.values())
-        hi = min(high for _, high in bounds.values())
-        if lo > hi:
-            return None
-        return tuple(lo * x for x in v)
-
     if any(lo > hi for lo, hi in bounds.values()):
         return None
-    red_lo, red_hi = _reduced_bounds(div, bounds, a, b, sub)
-    z = solve_box(cert.child, Box.of(red_lo, red_hi))
-    if z is None:
-        return None
-
     y = [0] * lat.ambient_dim
-    for j, zj in zip(sorted(div.pos + div.neg)[1:], z):
-        y[j] = -zj * v[j]
-    for k, zk in zip(div.zero, z[len(z) - len(div.zero):]):
-        y[k] = zk
-    if map_point(div, y) != z or not lat.member(y):
-        raise InconsistencyError("child witness is outside the image lattice")
+    if cert.child is not None:
+        red_lo, red_hi = _reduced_bounds(div, bounds, a, b, sub)
+        z = solve_box(cert.child, Box.of(red_lo, red_hi))
+        if z is None:
+            return None
+        for j, zj in zip(sorted(div.pos + div.neg)[1:], z):
+            y[j] = -zj * v[j]
+        for k, zk in zip(div.zero, z[len(z) - len(div.zero):]):
+            y[k] = zk
+        if map_point(div, y) != z or not lat.member(y):
+            raise InconsistencyError("child witness is outside the image lattice")
     for k in div.zero:
-        if not (a[k] <= y[k] <= b[k]):
-            raise InconsistencyError("lifted point leaves the box on a zero coordinate")
+        if not a[k] <= y[k] <= b[k]:
+            return None
     lo = max(low - y[i] // v[i] for i, (low, _) in bounds.items())
     hi = min(high - y[i] // v[i] for i, (_, high) in bounds.items())
     if lo > hi:
-        raise InconsistencyError("no multiplier fits the lifted point")
-    return tuple(lo * v[i] + y[i] for i in range(lat.ambient_dim))
+        return None
+    return tuple(lo * vi + yi for vi, yi in zip(v, y))
 
 
 def brute_force_solve(lat: Lattice, box: Box, cap: int = DEFAULT_ORACLE_CAP):

@@ -143,15 +143,16 @@ def certify(lat: Lattice):
 
     Different divisors often map to the same image lattice. A lattice is
     canonical and hashable, and a search that found no chain for it finds
-    none again, so each call remembers the images that failed and skips
-    them: no lattice is searched twice.
+    none again, so each call remembers the images that failed, the dead-block
+    answers below included, and skips them: no lattice is searched twice.
 
     A lattice of two or more coordinate blocks (see _blocks) with a block
     that has no divisor has no chain. Every divisor of it is zero on that
     block, as its part there would be a divisor of the block, so the block
     passes unchanged into every image. A rank-1 lattice has a divisor, so
     the block's rank is at least 2, and no image falls to rank 1. _search
-    applies the rule to the input and to each image before walking it.
+    applies the rule to the input and to each image before walking it,
+    once per distinct lattice.
     """
     if lat.rank == 0:
         raise ZeroLatticeError("cannot certify the zero lattice")
@@ -184,7 +185,10 @@ def _dead_block(lat: Lattice) -> bool:
 
 
 def _search(lat: Lattice, failed: set):
-    if lat in failed or _dead_block(lat):
+    if lat in failed:
+        return None
+    if _dead_block(lat):
+        failed.add(lat)
         return None
     for v in _walk(lat):
         div = DivisorVector.of(v)

@@ -120,7 +120,7 @@ def _witness_json(witness) -> dict:
 
 def _vectors(data) -> list:
     """The "vectors" family, its outer list checked like every inner one."""
-    return [serialize.rationals_from_json(v) for v in serialize._array(data["vectors"])]
+    return [serialize._array(v) for v in serialize._array(data["vectors"])]
 
 
 def _cmd_circuits(data, args) -> dict:
@@ -132,11 +132,8 @@ def _cmd_circuits(data, args) -> dict:
 
 
 def _cmd_qpsolve(data, args) -> dict:
-    vectors = _vectors(data)
-    target = serialize.rationals_from_json(data["target"])
-    lower = serialize.rationals_from_json(data["lower"])
-    upper = serialize.rationals_from_json(data["upper"])
-    result = near_integers_solve(vectors, target, lower, upper)
+    rest = (serialize._array(data[key]) for key in ("target", "lower", "upper"))
+    result = near_integers_solve(_vectors(data), *rest)
     return {
         "solvable": result.solvable,
         "reason": result.reason,

@@ -437,15 +437,12 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
             steps.append(RefineStep(case="case1", pivot=h, pivot_value=cur[h]))
             continue
 
-        # No coordinate is in the ring: perturb along a circuit. Clear the
-        # off-ring denominator parts with the smallest valid factor.
+        # No coordinate is in the ring: perturb along a circuit. k, the lcm
+        # of the off-ring denominator parts, puts every k·x_i in the ring.
         k = 1
         for i in active:
             k = lcm(k, primes.coprime_part(cur[i].denominator))
         scaled = {i: k * cur[i] for i in active}
-        for i in active:
-            if not in_qp(scaled[i], primes):
-                raise InconsistencyError("clearing factor failed")
         circuit = first_circuit([inst.vectors[i] for i in active])
         if circuit is None:
             raise InconsistencyError("no circuit inside the active set")
@@ -486,8 +483,6 @@ def _induct(inst: QpBoxInstance, xs, steps: list[RefineStep]) -> list[Fraction]:
             raise InconsistencyError("circuit shift left the ring")
         for i in active:
             cur[i] = (scaled[i] + shift * coeff.get(i, 0)) / k
-        if cur[h] != chosen:
-            raise InconsistencyError("pivot did not land on the chosen value")
         steps.append(
             RefineStep(
                 case="case2",

@@ -17,7 +17,7 @@ import io
 import json
 from itertools import chain, islice
 
-from .arith import PrimeSet, format_rational, parse_int, parse_rational
+from .arith import PrimeSet, format_rational, parse_int
 from .certificates import (
     Box,
     CeilDiv,
@@ -154,10 +154,6 @@ def trace_to_json(trace: RefinementTrace) -> dict:
             entry["pivot_value"] = format_rational(s.pivot_value)
         steps.append(entry)
     return {"steps": steps}
-
-
-def rationals_from_json(data) -> list:
-    return [parse_rational(x) for x in _array(data)]
 
 
 def rationals_to_json(values) -> list[str]:

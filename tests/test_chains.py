@@ -493,6 +493,37 @@ def test_search_skips_the_subtree_of_an_image_with_a_dead_block(monkeypatch):
     assert len(mapped) == 8  # walking dead would map its two candidates too
 
 
+@pytest.mark.parametrize(
+    "lat, tested",
+    [
+        (Lattice(4, [[2, 0, 0, 2], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 5]]), 17),
+        (
+            Lattice(5, [
+                [1, 0, 0, 0, 10],
+                [0, 1, 0, 0, 6],
+                [0, 0, 1, 0, 10],
+                [0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 14],
+            ]),
+            89,
+        ),
+    ],
+)
+def test_search_tests_each_lattice_for_a_dead_block_once(monkeypatch, lat, tested):
+    # both searches meet some image twice: an image the rule answers joins
+    # the failed ones, so the second visit ends at the memo
+    seen = []
+    dead_block = chains._dead_block
+
+    def counting(lat):
+        seen.append(lat)
+        return dead_block(lat)
+
+    monkeypatch.setattr("latticebox.chains._dead_block", counting)
+    assert certify(lat) is None
+    assert len(seen) == len(set(seen)) == tested
+
+
 def test_sign_partition():
     dv = DivisorVector.of((2, -3, 0))
     assert dv.pos == (0,) and dv.neg == (1,) and dv.zero == (2,)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from latticebox import cli
+from latticebox.arith import parse_rational
 from latticebox.cli import main
 from latticebox.errors import InconsistencyError
 
@@ -230,6 +231,35 @@ def test_non_ascii_or_underscore_number_is_malformed(tmp_path, command, text):
     rc, out, err = run_cli([command, str(path)])
     assert rc == 1 and out == ""
     assert err.startswith("error: not a plain ASCII number")
+
+
+@pytest.mark.parametrize("entry", ["1e5", "x", True], ids=["exponent", "letter", "bool"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("qpsolve", "target"),
+        ("qpsolve", "lower"),
+        ("qpsolve", "upper"),
+        ("circuits", "vectors"),
+    ],
+)
+def test_bad_rational_entry_is_malformed(tmp_path, command, key, entry):
+    # the command hands the entries on as read, and the solver's one parse
+    # of each names the bad one
+    payload = {
+        "vectors": [["2"], ["3"]],
+        "target": ["1"],
+        "lower": ["0", "0"],
+        "upper": ["1", "1"],
+    }
+    payload[key][-1] = [entry] if key == "vectors" else entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as parse_error:
+        parse_rational(entry)
+    rc, out, err = run_cli([command, str(path)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {parse_error.value}\n"
 
 
 @pytest.mark.parametrize("command", ["no-such-command", "gen-corpus"])

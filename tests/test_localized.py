@@ -461,6 +461,20 @@ def test_induct_guards():
     with pytest.raises(InconsistencyError, match="no circuit inside the active set"):
         localized._refine(inst, [F(1, 3)] * 2, system)
 
+    # 2/5 + 3/5 = 1 with both coordinates off the ring over {2, 3}: case2
+    # moves along the circuit (3, -2). A forged lower bound at the start
+    # leaves the shift no room, and a forged prime set without 3 gives a
+    # shift with denominator 3
+    inst = QpBoxInstance.build([(2,), (3,)], (1,), (0, 0), (1, 1))
+    xs = [F(1, 5), F(1, 5)]
+    for forged, guard in [
+        (replace(inst, lower=(F(1, 5), F(0))), "shift interval has no interior"),
+        (replace(inst, primes=PrimeSet([2])), "circuit shift left the ring"),
+    ]:
+        system = _echelon_system(forged.vectors, forged.target)
+        with pytest.raises(InconsistencyError, match=guard):
+            localized._refine(forged, xs, system)
+
 
 def test_empty_families_keep_their_answers():
     # the lcm over no denominators is 1

@@ -102,3 +102,28 @@ def test_package_has_no_unreached_public_names():
     ]
     assert len(read) > 100 and "run_main" in mentioned
     assert unreached == []
+
+
+def test_every_inconsistency_refusal_is_tested():
+    # exit code 3 means a broken invariant: each refusal left in the package
+    # must be one that some input reaches, so some test names its message
+    tested = {
+        node.value
+        for path in sorted((ROOT / "tests").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and len(node.value) >= 12
+    }
+    messages = [
+        (name, node.exc.args[0].value)
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "InconsistencyError"
+        and isinstance(node.exc.args[0], ast.Constant)
+    ]
+    untested = [(name, m) for name, m in messages if not any(t in m for t in tested)]
+    assert len(messages) > 5
+    assert untested == []
